@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check vet staticcheck build test bench-smoke race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
-check: vet staticcheck build race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+check: vet staticcheck build bench-smoke race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module (replace repro => ../), so the root vet and
+# test never build it. Vet it and run its smoke test here, so an internal
+# API change cannot silently break the benchmark.
+bench-smoke:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # The evaluation harness fans trials across goroutines; always race-check it.
 race:

@@ -3,6 +3,10 @@ package coap
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -217,6 +221,133 @@ func TestClientServerExchange(t *testing.T) {
 	}
 }
 
+// echoClient starts a loopback server whose handler answers every request
+// with "echo:" plus the request payload, and returns a client dialled to it.
+func echoClient(tb testing.TB) *Client {
+	tb.Helper()
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := Serve(conn, func(req *Message) *Message {
+		return &Message{Code: CodeChanged, Payload: append([]byte("echo:"), req.Payload...)}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cli.Close() })
+	cli.AckTimeout = time.Second
+	return cli
+}
+
+func postReading(payload string) *Message {
+	req := &Message{Code: CodePOST, Payload: []byte(payload)}
+	req.SetPath("report")
+	return req
+}
+
+// TestClientDoAllocatesLittlePerExchange pins the client's receive buffer:
+// it is allocated once per Client, not per exchange. A per-exchange 64 KiB
+// buffer would put every exchange far above the bound. The count is
+// process-wide, so it also carries the server's small per-request cost.
+func TestClientDoAllocatesLittlePerExchange(t *testing.T) {
+	cli := echoClient(t)
+	ctx := context.Background()
+	req := postReading(`{"at":123456,"v":21.5}`)
+	for i := 0; i < 20; i++ { // warm up sockets, timers and the dedup cache
+		if _, err := cli.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const exchanges = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < exchanges; i++ {
+		if _, err := cli.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perExchange := (after.TotalAlloc - before.TotalAlloc) / exchanges
+	t.Logf("%d heap bytes allocated per exchange", perExchange)
+	if perExchange > 8<<10 {
+		t.Errorf("%d heap bytes allocated per exchange, want <= %d", perExchange, 8<<10)
+	}
+}
+
+// TestClientResponsesDoNotAliasReceiveBuffer checks that a response stays
+// intact after later exchanges reuse the client's receive buffer, both
+// back to back and with goroutines sharing one Client.
+func TestClientResponsesDoNotAliasReceiveBuffer(t *testing.T) {
+	cli := echoClient(t)
+	ctx := context.Background()
+
+	first := postReading("first")
+	first.Token = []byte{1, 1, 1, 1}
+	resp1, err := cli.Do(ctx, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := resp1.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := postReading("SECOND")
+	second.Token = []byte{2, 2, 2, 2}
+	resp2, err := cli.Do(ctx, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resp1.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("first response changed after the second exchange:\n got %x\nwant %x", got, want)
+	}
+	if string(resp1.Payload) != "echo:first" || !bytes.Equal(resp1.Token, first.Token) {
+		t.Errorf("first response = %q token %x", resp1.Payload, resp1.Token)
+	}
+	if string(resp2.Payload) != "echo:SECOND" || !bytes.Equal(resp2.Token, second.Token) {
+		t.Errorf("second response = %q token %x", resp2.Payload, resp2.Token)
+	}
+
+	const goroutines, rounds = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var held []*Message
+			for r := 0; r < rounds; r++ {
+				resp, err := cli.Do(ctx, postReading(fmt.Sprintf("g%d-r%d", g, r)))
+				if err != nil {
+					errs <- err
+					return
+				}
+				held = append(held, resp)
+			}
+			for r, resp := range held {
+				if want := fmt.Sprintf("echo:g%d-r%d", g, r); string(resp.Payload) != want {
+					errs <- fmt.Errorf("goroutine %d round %d: payload %q, want %q", g, r, resp.Payload, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestClientTimesOutWithoutServer(t *testing.T) {
 	cli, err := Dial("127.0.0.1:1") // nothing listens here
 	if err != nil {
@@ -320,6 +451,19 @@ func BenchmarkUnmarshal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkClientDo(b *testing.B) {
+	cli := echoClient(b)
+	ctx := context.Background()
+	req := postReading(`{"at":123456,"v":21.5}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Do(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}

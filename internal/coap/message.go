@@ -170,7 +170,8 @@ func optNibble(v uint32) (byte, []byte) {
 	}
 }
 
-// Unmarshal decodes a wire-form message.
+// Unmarshal decodes a wire-form message. The result copies everything it
+// keeps out of data, so callers may reuse data as soon as it returns.
 func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("coap: message shorter than header (%d bytes)", len(data))

@@ -1,6 +1,7 @@
 package coap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -292,7 +293,7 @@ func (s *Server) Close() error {
 
 func (s *Server) serve() {
 	defer s.serveWG.Done()
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, maxDatagram)
 	for {
 		n, peer, err := s.conn.ReadFrom(buf)
 		if err != nil {
@@ -449,11 +450,23 @@ func (s *Server) RestoreDedup(entries []DedupEntry) {
 	}
 }
 
+// maxDatagram bounds a UDP datagram (its length field is 16 bits), and so
+// any CoAP message either side can receive.
+const maxDatagram = 64 * 1024
+
 // Client sends CoAP requests to one server.
 type Client struct {
 	conn net.Conn
 	rng  *rand.Rand
-	mu   sync.Mutex
+	mu   sync.Mutex // held for a whole exchange; guards nextMID and buf
+
+	// buf receives every datagram of every exchange. It is allocated once
+	// and reused: zeroing 64 KiB per exchange would make garbage collection
+	// a large share of a busy client's CPU. Reuse is safe because Unmarshal
+	// copies the token, options and payload out of the datagram, so a
+	// returned *Message never aliases buf and the next exchange can
+	// overwrite it. Keep that copy if Unmarshal is ever optimised.
+	buf []byte
 
 	// nextMID is the Message ID of the next exchange. RFC 7252 §4.4: a
 	// random initial value incremented per message, so concurrent or
@@ -489,6 +502,7 @@ func NewClient(conn net.Conn) *Client {
 		conn:          conn,
 		rng:           rng,
 		nextMID:       uint16(rng.Intn(1 << 16)),
+		buf:           make([]byte, maxDatagram),
 		AckTimeout:    2 * time.Second,
 		MaxRetransmit: 4,
 	}
@@ -518,7 +532,6 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 	}
 
 	timeout := c.AckTimeout
-	buf := make([]byte, 64*1024)
 	for attempt := 0; attempt <= c.MaxRetransmit; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -534,18 +547,18 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 			return nil, err
 		}
 		for {
-			n, err := c.conn.Read(buf)
+			n, err := c.conn.Read(c.buf)
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					break // retransmit
 				}
 				return nil, fmt.Errorf("coap: recv: %w", err)
 			}
-			resp, err := Unmarshal(buf[:n])
+			resp, err := Unmarshal(c.buf[:n])
 			if err != nil {
 				continue // drop malformed
 			}
-			if !tokensEqual(resp.Token, req.Token) {
+			if !bytes.Equal(resp.Token, req.Token) {
 				continue // stale response from an earlier exchange
 			}
 			if resp.Type == Acknowledgement && resp.MessageID != req.MessageID {
@@ -556,16 +569,4 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 		timeout *= 2
 	}
 	return nil, fmt.Errorf("coap: no response after %d attempts", c.MaxRetransmit+1)
-}
-
-func tokensEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

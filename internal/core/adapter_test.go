@@ -43,9 +43,9 @@ func feedAdmissionCycle(t *testing.T, a *Adapter, l *window.Layout, idx *int) *C
 		res Result
 	}{
 		{oddObs(l, *idx), Result{}},
-		{evenObs(l, *idx + 1), Result{}},
-		{newSetObs(l, *idx + 2), Result{Violation: CheckCorrelation, Detected: true, Identifying: true}},
-		{evenObs(l, *idx + 3), Result{Identifying: true}},
+		{evenObs(l, *idx+1), Result{}},
+		{newSetObs(l, *idx+2), Result{Violation: CheckCorrelation, Detected: true, Identifying: true}},
+		{evenObs(l, *idx+3), Result{Identifying: true}},
 	}
 	for _, s := range steps {
 		p, err := a.Observe(s.obs, s.res)
@@ -184,11 +184,11 @@ func TestAdapterEdgeAdmissionSurvivesAlerts(t *testing.T) {
 			res Result
 		}{
 			{evenObs(l, idx), Result{}},
-			{oddObs(l, idx + 1), Result{}},
+			{oddObs(l, idx+1), Result{}},
 			// The bulb fires out of the odd group: unseen G2A, alerted in
 			// the same window.
-			{evenBulbObs(l, idx + 2), g2aAlert},
-			{oddObs(l, idx + 3), Result{Identifying: true}},
+			{evenBulbObs(l, idx+2), g2aAlert},
+			{oddObs(l, idx+3), Result{Identifying: true}},
 		}
 		for _, s := range steps {
 			p, err := a.Observe(s.obs, s.res)

@@ -116,24 +116,24 @@ func newContext(layout *window.Layout, duration time.Duration, valueThre []float
 // group vectors are immutable and shared.
 func (c *Context) clone() *Context {
 	out := &Context{
-		layout:      c.layout,
-		duration:    c.duration,
-		valueThre:   c.valueThre,
-		epoch:       c.epoch,
-		parent:      c.parent,
-		fingerprint: c.fingerprint,
-		groups:      append([]*bitvec.Vec(nil), c.groups...),
-		groupIDs:    make(map[string]int, len(c.groupIDs)),
-		scanWords:   c.scanWords,
-		matrix:      append([]uint64(nil), c.matrix...),
-		pops:        append([]int(nil), c.pops...),
-		popBuckets:  make([][]int, len(c.popBuckets)),
-		g2g:         c.g2g.Clone(),
-		g2a:         c.g2a.Clone(),
-		a2g:         c.a2g.Clone(),
-		g2gGaps:     c.g2gGaps.Clone(),
-		g2aGaps:     c.g2aGaps.Clone(),
-		a2gGaps:     c.a2gGaps.Clone(),
+		layout:       c.layout,
+		duration:     c.duration,
+		valueThre:    c.valueThre,
+		epoch:        c.epoch,
+		parent:       c.parent,
+		fingerprint:  c.fingerprint,
+		groups:       append([]*bitvec.Vec(nil), c.groups...),
+		groupIDs:     make(map[string]int, len(c.groupIDs)),
+		scanWords:    c.scanWords,
+		matrix:       append([]uint64(nil), c.matrix...),
+		pops:         append([]int(nil), c.pops...),
+		popBuckets:   make([][]int, len(c.popBuckets)),
+		g2g:          c.g2g.Clone(),
+		g2a:          c.g2a.Clone(),
+		a2g:          c.a2g.Clone(),
+		g2gGaps:      c.g2gGaps.Clone(),
+		g2aGaps:      c.g2aGaps.Clone(),
+		a2gGaps:      c.a2gGaps.Clone(),
 		effectCounts: make(map[int]map[device.ID]int64, len(c.effectCounts)),
 		actCounts:    make(map[int]int64, len(c.actCounts)),
 	}

@@ -226,6 +226,27 @@ func TestEvaluateDatasetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestIdentifyTimeMeasured: identification runs only inside episodes, so
+// its mean cost must come from those windows and read above zero on a
+// dataset whose faults get detected.
+func TestIdentifyTimeMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluation integration test")
+	}
+	spec := simhome.SpecHouseA()
+	spec.Hours = 6 * 24
+	r, err := EvaluateDataset(spec, 5, fastProto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DetectedSegments == 0 {
+		t.Fatal("no faulty segment detected; identification never ran")
+	}
+	if r.IdentifyTime <= 0 {
+		t.Errorf("IdentifyTime = %v, want > 0", r.IdentifyTime)
+	}
+}
+
 func TestAggregateMergesWindows(t *testing.T) {
 	tr := trainFast(t)
 	layout := tr.Home.Layout()

@@ -248,7 +248,13 @@ type SegmentOutcome struct {
 	MeanBinarize    time.Duration
 	MeanCorrelation time.Duration
 	MeanTransition  time.Duration
-	MeanIdentify    time.Duration
+	// IdentifyTotal is the identification cost summed over the
+	// IdentifyWindows windows that ran inside an identification episode.
+	// It is a sum with its window count, not a per-window mean, so trials
+	// pool by window: identification runs on a handful of a faulty
+	// segment's windows and on none of a clean one's.
+	IdentifyTotal   time.Duration
+	IdentifyWindows int
 }
 
 // RunSegment evaluates segment seg (0-based), optionally corrupted by an
@@ -315,7 +321,7 @@ func (t *Trained) RunSegment(seg int, inj *faults.Injector) (SegmentOutcome, err
 		}
 	}
 
-	var bSum, cSum, tSum, iSum time.Duration
+	var bSum, cSum, tSum time.Duration
 	for w := 0; w < segLen; w++ {
 		o := t.aggWindowFrom(src, base+w)
 		if applyObs {
@@ -328,7 +334,10 @@ func (t *Trained) RunSegment(seg int, inj *faults.Injector) (SegmentOutcome, err
 		bSum += res.Timing.Binarize
 		cSum += res.Timing.Correlation
 		tSum += res.Timing.Transition
-		iSum += res.Timing.Identify
+		if res.Identifying {
+			out.IdentifyTotal += res.Timing.Identify
+			out.IdentifyWindows++
+		}
 		if res.Detected && !out.Detected && w >= ignoreBefore {
 			out.Detected = true
 			out.DetectedWindow = w
@@ -343,7 +352,6 @@ func (t *Trained) RunSegment(seg int, inj *faults.Injector) (SegmentOutcome, err
 	out.MeanBinarize = bSum / n
 	out.MeanCorrelation = cSum / n
 	out.MeanTransition = tSum / n
-	out.MeanIdentify = iSum / n
 	return out, nil
 }
 

@@ -123,12 +123,12 @@ func TestStretchStreamValidation(t *testing.T) {
 	l := faultLayout(t)
 	obs := []*window.Observation{quietObs(l, 0, false)}
 	cases := []TimingFault{
-		{Device: 4, Type: ActuatorDead, Delay: 2},      // not a stream fault
-		{Device: 4, Type: ActuatorDelayed, Delay: 0},   // no delay
-		{Device: 0, Type: ActuatorDelayed, Delay: 2},   // sensor as delayed actuator
-		{Device: 4, Type: SlowDegradation, Delay: 2},   // actuator as degrading sensor
-		{Device: 2, Type: SlowDegradation, Delay: 2},   // numeric sensor (binary only)
-		{Device: 99, Type: ActuatorDelayed, Delay: 2},  // unknown device
+		{Device: 4, Type: ActuatorDead, Delay: 2},     // not a stream fault
+		{Device: 4, Type: ActuatorDelayed, Delay: 0},  // no delay
+		{Device: 0, Type: ActuatorDelayed, Delay: 2},  // sensor as delayed actuator
+		{Device: 4, Type: SlowDegradation, Delay: 2},  // actuator as degrading sensor
+		{Device: 2, Type: SlowDegradation, Delay: 2},  // numeric sensor (binary only)
+		{Device: 99, Type: ActuatorDelayed, Delay: 2}, // unknown device
 		{Device: 4, Type: ActuatorDelayed, Delay: 2, Onset: -1},
 	}
 	for _, f := range cases {
