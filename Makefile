@@ -117,13 +117,14 @@ bench-timing:
 bench-scenarios:
 	$(GO) run ./cmd/dice-eval -exp scenarios
 
-# Short fuzz passes over the wire decoders (binary batch + CoAP) and the
-# interval-sketch codec. Long campaigns run the same targets with a bigger
-# -fuzztime.
+# Short fuzz passes over the wire decoders (binary batch + CoAP), the
+# interval-sketch codec and the WAL segment reader. Long campaigns run the
+# same targets with a bigger -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageUnmarshal$$' -fuzztime 5s ./internal/coap/
 	$(GO) test -run '^$$' -fuzz 'FuzzIntervalSketch$$' -fuzztime 5s ./internal/markov/
+	$(GO) test -run '^$$' -fuzz 'FuzzSegment$$' -fuzztime 5s ./internal/wal/
 
 # CI perf gate: regenerate the hub benchmark and fail on a >15% regression
 # of the binary-path speedup vs the committed BENCH_hub.json. The gate

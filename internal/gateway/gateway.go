@@ -8,6 +8,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -934,15 +935,30 @@ func (g *Gateway) emit(a *core.Alert, d time.Duration) {
 	g.deliverLocked(out)
 }
 
+// replayYields bounds the yields deliverLocked spends on a full channel
+// while replaying before it counts a drop. One suffices when the consumer
+// waits on this processor; the rest cover a consumer running on another.
+const replayYields = 16
+
 // deliverLocked records the alert as the last one emitted and hands it to
 // the channel, counting a drop instead of blocking when the buffer is full.
+// Replay re-emits a tail's alerts at read speed, faster than a consumer
+// that is runnable but not running drains them, so a replaying gateway
+// first yields the processor a bounded number of times to let it catch up.
 func (g *Gateway) deliverLocked(out Alert) {
 	last := out
 	g.lastAlert = &last
-	select {
-	case g.alerts <- out:
-		g.met.alerts.Inc()
-	default:
-		g.met.alertsDropped.Inc()
+	for try := 0; ; try++ {
+		select {
+		case g.alerts <- out:
+			g.met.alerts.Inc()
+			return
+		default:
+		}
+		if !g.replaying || try == replayYields {
+			g.met.alertsDropped.Inc()
+			return
+		}
+		runtime.Gosched()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -191,6 +192,49 @@ func TestGatewayWALReplayIdempotentAnyCheckpoint(t *testing.T) {
 		if !reflect.DeepEqual(suffix, want) {
 			t.Errorf("checkpoint at op %d: re-emitted alerts diverged:\n want: %+v\n got:  %+v", at, want, suffix)
 		}
+	}
+}
+
+// TestGatewayWALReplayYieldsToAlertConsumer: replay re-emits alerts far
+// faster than live ingest, so on a busy processor it can fill the alert
+// channel before the consumer goroutine, already runnable, gets to run. A
+// replaying gateway must yield to that consumer rather than count drops:
+// with one processor and a one-slot buffer, recovery delivers every alert.
+func TestGatewayWALReplayYieldsToAlertConsumer(t *testing.T) {
+	h, ctx := trainedHome(t)
+	evts := faultyAfternoon(t, h, 4)
+	dir := t.TempDir()
+	gw1, _ := walGateway(t, ctx, dir)
+	for _, e := range evts {
+		if err := gw1.Ingest(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := gw1.Stats()
+	if want.Alerts < 2 {
+		t.Fatalf("stream raised %d alerts; the test needs a burst", want.Alerts)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gw2, _ := walGateway(t, ctx, dir, WithAlertBuffer(1))
+	got := make(chan int)
+	go func() {
+		n := 0
+		for range gw2.Alerts() {
+			if n++; n == int(want.Alerts) {
+				break
+			}
+		}
+		got <- n
+	}()
+	if err := gw2.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if st := gw2.Stats(); st != want {
+		t.Fatalf("recovered stats %+v, want %+v", st, want)
+	}
+	if n := <-got; n != int(want.Alerts) {
+		t.Fatalf("consumer received %d alerts, want %d", n, want.Alerts)
 	}
 }
 

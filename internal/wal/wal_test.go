@@ -24,7 +24,7 @@ func testRecord(i int) Record {
 	})
 }
 
-func appendN(t *testing.T, l *Log, from, n int) {
+func appendN(t testing.TB, l *Log, from, n int) {
 	t.Helper()
 	var buf []byte
 	for i := from; i < from+n; i++ {
@@ -102,22 +102,20 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALTornTailAnyByte is the torn-write property: for every possible
-// truncation point of the final segment, Open must repair the file to the
-// longest valid prefix, replay exactly the records whose frames are fully
-// on disk, and accept new appends that continue the chain.
-func TestWALTornTailAnyByte(t *testing.T) {
-	master := t.TempDir()
-	l, err := Open(master, Options{Sync: SyncNever})
+// oneSegment appends testRecord(0..n-1) to a fresh log whose records all
+// fit one segment and returns that segment's file name and bytes.
+func oneSegment(t testing.TB, n int) (string, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 20
 	appendN(t, l, 0, n)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(master, "*.wal"))
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want 1 segment, got %v (%v)", segs, err)
 	}
@@ -125,14 +123,22 @@ func TestWALTornTailAnyByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := frameHeader + recordSize
-	if want := segHeaderSize + n*frame; len(data) != want {
+	if want := segHeaderSize + n*(frameHeader+recordSize); len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
 	}
+	return filepath.Base(segs[0]), data
+}
 
-	for cut := segHeaderSize; cut <= len(data); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), data[:cut], 0o644); err != nil {
+// checkTornCuts writes data[:cut] as the only segment of a log, for each
+// cut, and checks that Open repairs it to the longest whole-frame prefix,
+// replays exactly those records, and accepts an append continuing the
+// chain.
+func checkTornCuts(t *testing.T, name string, data []byte, cuts []int) {
+	t.Helper()
+	frame := frameHeader + recordSize
+	dir := t.TempDir()
+	for _, cut := range cuts {
+		if err := os.WriteFile(filepath.Join(dir, name), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		lt, err := Open(dir, Options{Sync: SyncNever})
@@ -146,6 +152,11 @@ func TestWALTornTailAnyByte(t *testing.T) {
 		recs := replayAll(t, lt, 0)
 		if len(recs) != complete {
 			t.Fatalf("cut %d: replayed %d records, want %d", cut, len(recs), complete)
+		}
+		for i, r := range recs {
+			if r != testRecord(i) {
+				t.Fatalf("cut %d: record %d = %+v, want %+v", cut, i, r, testRecord(i))
+			}
 		}
 		// The repaired log must accept a continuation append.
 		var buf []byte
@@ -162,6 +173,19 @@ func TestWALTornTailAnyByte(t *testing.T) {
 		}
 		lt.Close()
 	}
+}
+
+// TestWALTornTailAnyByte is the torn-write property: for every possible
+// truncation point of the final segment, Open must repair the file to the
+// longest valid prefix, replay exactly the records whose frames are fully
+// on disk, and accept new appends that continue the chain.
+func TestWALTornTailAnyByte(t *testing.T) {
+	name, data := oneSegment(t, 20)
+	var cuts []int
+	for cut := segHeaderSize; cut <= len(data); cut++ {
+		cuts = append(cuts, cut)
+	}
+	checkTornCuts(t, name, data, cuts)
 }
 
 // TestWALBitFlip: a corrupted byte mid-log fails the CRC and ends replay
