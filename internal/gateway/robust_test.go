@@ -20,7 +20,7 @@ import (
 // faultyAfternoon renders the standard robustness workload: an afternoon
 // slice with the kitchen light fail-stopped 30 minutes in, rebased to
 // stream time zero.
-func faultyAfternoon(t *testing.T, h *simhome.Home, hours int) []event.Event {
+func faultyAfternoon(t testing.TB, h *simhome.Home, hours int) []event.Event {
 	t.Helper()
 	target, ok := h.Registry().Lookup("light-kitchen")
 	if !ok {

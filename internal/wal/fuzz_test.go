@@ -10,10 +10,16 @@ import (
 // FuzzSegment feeds arbitrary bytes after a valid header of segment 1.
 // Whatever they hold, Open must repair rather than fail, Replay must yield
 // exactly seqs 1..LastSeq() in order, and the next Append must continue at
-// LastSeq()+1.
+// LastSeq()+1. The seeds are three one-record frames and one three-record
+// batch frame.
 func FuzzSegment(f *testing.F) {
 	name, data := oneSegment(f, 3)
 	f.Add(data[segHeaderSize:])
+	var body []byte
+	for _, p := range batchOf(0, 3) {
+		body = append(body, packed(p)...)
+	}
+	f.Add(rawFrame(1, body))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
 		hdr := segmentHeader(1)

@@ -48,7 +48,7 @@ const recordSize = 1 + 8 + 4 + 8
 
 // RecordSize is recordSize for callers that pre-size encode buffers (the
 // gateway's batched append path grows one buffer for a whole batch up
-// front, so the per-record frame slices stay valid).
+// front, so the per-record payload slices stay valid).
 const RecordSize = recordSize
 
 // IngestRecord wraps an event for the log.

@@ -35,14 +35,13 @@ func TestWALTornTailAcrossRefills(t *testing.T) {
 	if len(refills) < 2 {
 		t.Fatalf("%d-byte segment crosses %d refills, want >= 2", len(data), len(refills))
 	}
-	frame := frameHeader + recordSize
 	var cuts []int
 	for _, r := range refills {
-		for cut := r - 2*frame; cut <= r+2*frame && cut <= len(data); cut++ {
+		for cut := r - 2*appendFrame; cut <= r+2*appendFrame && cut <= len(data); cut++ {
 			cuts = append(cuts, cut)
 		}
 	}
-	checkTornCuts(t, name, data, cuts)
+	checkTornCuts(t, name, data, appendEnds(refillRecords), cuts)
 }
 
 // TestWALBitFlipAcrossRefill: a flipped bit in the part of a frame read
@@ -50,14 +49,13 @@ func TestWALTornTailAcrossRefills(t *testing.T) {
 // record and the corruption is counted.
 func TestWALBitFlipAcrossRefill(t *testing.T) {
 	name, data := oneSegment(t, refillRecords)
-	frame := frameHeader + recordSize
 	r := refillOffsets(len(data))[0]
-	idx := (r - segHeaderSize) / frame
-	start := segHeaderSize + idx*frame
-	if start >= r || start+frame <= r {
-		t.Fatalf("frame %d [%d,%d) does not straddle refill offset %d", idx, start, start+frame, r)
+	idx := (r - segHeaderSize) / appendFrame
+	start := segHeaderSize + idx*appendFrame
+	if start >= r || start+appendFrame <= r {
+		t.Fatalf("frame %d [%d,%d) does not straddle refill offset %d", idx, start, start+appendFrame, r)
 	}
-	data[start+frame-1] ^= 0x10
+	data[start+appendFrame-1] ^= 0x10
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 		t.Fatal(err)

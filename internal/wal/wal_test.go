@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -102,6 +103,39 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// appendFrame is the on-disk size of one Append of a testRecord: a frame
+// header, then a body of one varint length byte and the payload.
+const appendFrame = frameHeader + 1 + recordSize
+
+// batchFrame is the on-disk size of one frame packing n testRecords.
+func batchFrame(n int) int { return frameHeader + n*(1+recordSize) }
+
+// frameEnd marks one whole frame of a test segment: the byte offset just
+// past it and how many records the segment holds through it.
+type frameEnd struct{ off, records int }
+
+// appendEnds lists the frame ends of a segment written by n single Appends.
+func appendEnds(n int) []frameEnd {
+	ends := make([]frameEnd, n)
+	for i := range ends {
+		ends[i] = frameEnd{segHeaderSize + (i+1)*appendFrame, i + 1}
+	}
+	return ends
+}
+
+// keptFrames is what a cut at byte cut leaves of a segment whose frames end
+// at ends: the last whole frame at or before the cut, or none.
+func keptFrames(ends []frameEnd, cut int) frameEnd {
+	kept := frameEnd{off: segHeaderSize}
+	for _, e := range ends {
+		if e.off > cut {
+			break
+		}
+		kept = e
+	}
+	return kept
+}
+
 // oneSegment appends testRecord(0..n-1) to a fresh log whose records all
 // fit one segment and returns that segment's file name and bytes.
 func oneSegment(t testing.TB, n int) (string, []byte) {
@@ -123,29 +157,37 @@ func oneSegment(t testing.TB, n int) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := segHeaderSize + n*(frameHeader+recordSize); len(data) != want {
+	if want := segHeaderSize + n*appendFrame; len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
 	}
 	return filepath.Base(segs[0]), data
 }
 
 // checkTornCuts writes data[:cut] as the only segment of a log, for each
-// cut, and checks that Open repairs it to the longest whole-frame prefix,
-// replays exactly those records, and accepts an append continuing the
-// chain.
-func checkTornCuts(t *testing.T, name string, data []byte, cuts []int) {
+// cut, and checks that Open repairs it to the last whole frame (ends lists
+// the segment's frames), replays exactly that frame prefix's records, and
+// accepts an append continuing the chain.
+func checkTornCuts(t *testing.T, name string, data []byte, ends []frameEnd, cuts []int) {
 	t.Helper()
-	frame := frameHeader + recordSize
 	dir := t.TempDir()
+	path := filepath.Join(dir, name)
 	for _, cut := range cuts {
-		if err := os.WriteFile(filepath.Join(dir, name), data[:cut], 0o644); err != nil {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		lt, err := Open(dir, Options{Sync: SyncNever})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
-		complete := (cut - segHeaderSize) / frame
+		kept := keptFrames(ends, cut)
+		complete := kept.records
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != int64(kept.off) {
+			t.Fatalf("cut %d: repaired segment is %d bytes, want %d", cut, info.Size(), kept.off)
+		}
 		if got := lt.LastSeq(); got != uint64(complete) {
 			t.Fatalf("cut %d: LastSeq = %d, want %d", cut, got, complete)
 		}
@@ -180,12 +222,13 @@ func checkTornCuts(t *testing.T, name string, data []byte, cuts []int) {
 // longest valid prefix, replay exactly the records whose frames are fully
 // on disk, and accept new appends that continue the chain.
 func TestWALTornTailAnyByte(t *testing.T) {
-	name, data := oneSegment(t, 20)
+	const n = 20
+	name, data := oneSegment(t, n)
 	var cuts []int
 	for cut := segHeaderSize; cut <= len(data); cut++ {
 		cuts = append(cuts, cut)
 	}
-	checkTornCuts(t, name, data, cuts)
+	checkTornCuts(t, name, data, appendEnds(n), cuts)
 }
 
 // TestWALBitFlip: a corrupted byte mid-log fails the CRC and ends replay
@@ -205,9 +248,8 @@ func TestWALBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte of record 5 (0-indexed).
-	frame := frameHeader + recordSize
-	off := segHeaderSize + 5*frame + frameHeader + 3
+	// Flip one payload byte of record 5 (0-indexed), past its length byte.
+	off := segHeaderSize + 5*appendFrame + frameHeader + 1 + 3
 	data[off] ^= 0xFF
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
@@ -399,77 +441,92 @@ func TestDeadLetter(t *testing.T) {
 	}
 }
 
-// TestWALAppendBatch: a batched append must be byte-identical on disk to
-// the same records appended one by one — replay, sequence numbers, and
-// rotation behave the same — while issuing one sync per batch under
-// SyncAlways.
+// batchOf encodes testRecord(from..to-1) as one AppendBatch argument.
+func batchOf(from, to int) [][]byte {
+	var payloads [][]byte
+	for i := from; i < to; i++ {
+		payloads = append(payloads, testRecord(i).AppendTo(nil))
+	}
+	return payloads
+}
+
+// seqPayload is one replayed record: its sequence number and its payload.
+type seqPayload struct {
+	seq     uint64
+	payload string
+}
+
+// replayStream replays the whole log into (seq, payload) pairs.
+func replayStream(t *testing.T, l *Log) []seqPayload {
+	t.Helper()
+	var out []seqPayload
+	if err := l.Replay(0, func(seq uint64, p []byte) error {
+		out = append(out, seqPayload{seq, string(p)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWALAppendBatch: replay cannot tell batched appends from single ones.
+// A log written in 16-record batches replays the same (seq, payload) stream
+// as one written record by record, reports the same LastSeq, and continues
+// the same sequence on later appends, before and after a reopen.
 func TestWALAppendBatch(t *testing.T) {
-	dirOne := t.TempDir()
-	dirBatch := t.TempDir()
-	one, err := Open(dirOne, Options{Sync: SyncNever})
+	one, err := Open(t.TempDir(), Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer one.Close()
+	dirBatch := t.TempDir()
 	batch, err := Open(dirBatch, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 200
 	appendN(t, one, 0, n)
-	var payloads [][]byte
-	var backing []byte
 	for start := 0; start < n; start += 16 {
-		endAt := start + 16
-		if endAt > n {
-			endAt = n
-		}
-		payloads = payloads[:0]
-		backing = backing[:0]
-		for i := start; i < endAt; i++ {
-			off := len(backing)
-			backing = testRecord(i).AppendTo(backing)
-			payloads = append(payloads, backing[off:])
-		}
-		seq, err := batch.AppendBatch(payloads)
+		end := min(start+16, n)
+		seq, err := batch.AppendBatch(batchOf(start, end))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := uint64(endAt); seq != want {
-			t.Fatalf("batch through %d got seq %d, want %d", endAt, seq, want)
+		if want := uint64(end); seq != want {
+			t.Fatalf("batch through %d got seq %d, want %d", end, seq, want)
 		}
 	}
-	if err := one.Close(); err != nil {
-		t.Fatal(err)
+	want := replayStream(t, one)
+	if len(want) != n {
+		t.Fatalf("record-at-a-time log replayed %d records, want %d", len(want), n)
 	}
+	for i, r := range want {
+		if r.seq != uint64(i+1) || r.payload != string(testRecord(i).AppendTo(nil)) {
+			t.Fatalf("record-at-a-time record %d = (%d, %x)", i, r.seq, r.payload)
+		}
+	}
+	check := func(stage string, l *Log, want []seqPayload) {
+		t.Helper()
+		if got := l.LastSeq(); got != uint64(len(want)) {
+			t.Fatalf("%s: LastSeq = %d, want %d", stage, got, len(want))
+		}
+		if got := replayStream(t, l); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: batched log replays %d records that differ from the record-at-a-time log's %d", stage, len(got), len(want))
+		}
+	}
+	check("batched", batch, want)
 	if err := batch.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := os.ReadFile(filepath.Join(dirOne, fmt.Sprintf("%016x.wal", 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dirBatch, fmt.Sprintf("%016x.wal", 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("batched segment differs from record-at-a-time segment (%d vs %d bytes)", len(a), len(b))
-	}
-
 	reopened, err := Open(dirBatch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	recs := replayAll(t, reopened, 0)
-	if len(recs) != n {
-		t.Fatalf("replayed %d records, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		if r != testRecord(i) {
-			t.Fatalf("record %d = %+v, want %+v", i, r, testRecord(i))
-		}
-	}
+	check("reopened", reopened, want)
+	appendN(t, one, n, 5)
+	appendN(t, reopened, n, 5)
+	check("continued", reopened, replayStream(t, one))
 }
 
 // TestWALAppendBatchSyncOnce: under SyncAlways a batch costs one fsync, not
@@ -484,14 +541,7 @@ func TestWALAppendBatchSyncOnce(t *testing.T) {
 	if seq, err := l.AppendBatch(nil); err != nil || seq != 0 {
 		t.Fatalf("empty batch: seq=%d err=%v", seq, err)
 	}
-	var payloads [][]byte
-	var backing []byte
-	for i := 0; i < 32; i++ {
-		off := len(backing)
-		backing = testRecord(i).AppendTo(backing)
-		payloads = append(payloads, backing[off:])
-	}
-	if _, err := l.AppendBatch(payloads); err != nil {
+	if _, err := l.AppendBatch(batchOf(0, 32)); err != nil {
 		t.Fatal(err)
 	}
 	syncs := reg.Counter(metricSyncs, "").Value()
@@ -511,17 +561,10 @@ func TestWALAppendBatchRotates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	var payloads [][]byte
-	var backing []byte
-	for i := 0; i < 64; i++ {
-		off := len(backing)
-		backing = testRecord(i).AppendTo(backing)
-		payloads = append(payloads, backing[off:])
-	}
-	if _, err := l.AppendBatch(payloads); err != nil {
+	if _, err := l.AppendBatch(batchOf(0, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(payloads[:1]); err != nil {
+	if _, err := l.AppendBatch(batchOf(64, 65)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Segments(); got < 2 {
@@ -534,11 +577,11 @@ func TestWALAppendBatchRotates(t *testing.T) {
 }
 
 // TestWALTornTailMidBatch is the torn-write property for AppendBatch: a
-// crash can land at any byte inside the one vectored write a batch issues.
-// For every truncation point across the batch region, Open must repair the
-// segment to the longest valid frame prefix — the records of the batch
-// whose frames are fully on disk — replay exactly that prefix, and accept
-// continuation appends.
+// crash can land at any byte inside the one write a batch issues, and the
+// batch is one frame, so it survives whole or not at all. For every
+// truncation point across the batch region, Open must repair the segment
+// to the records appended before the batch — or all of them once the
+// frame is whole — replay exactly those, and accept continuation appends.
 func TestWALTornTailMidBatch(t *testing.T) {
 	master := t.TempDir()
 	l, err := Open(master, Options{Sync: SyncNever})
@@ -548,14 +591,7 @@ func TestWALTornTailMidBatch(t *testing.T) {
 	const pre = 5   // records appended one at a time before the batch
 	const batch = 8 // records in the single AppendBatch write
 	appendN(t, l, 0, pre)
-	var payloads [][]byte
-	var backing []byte
-	for i := pre; i < pre+batch; i++ {
-		off := len(backing)
-		backing = testRecord(i).AppendTo(backing)
-		payloads = append(payloads, backing[off:])
-	}
-	seq, err := l.AppendBatch(payloads)
+	seq, err := l.AppendBatch(batchOf(pre, pre+batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,43 +609,18 @@ func TestWALTornTailMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := frameHeader + recordSize
-	if want := segHeaderSize + (pre+batch)*frame; len(data) != want {
+	batchStart := segHeaderSize + pre*appendFrame
+	ends := append(appendEnds(pre), frameEnd{batchStart + batchFrame(batch), pre + batch})
+	if want := ends[len(ends)-1].off; len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
 	}
 
-	// Cut everywhere from "batch entirely lost" to "last batch frame torn
-	// one byte short": the survivors must always be a clean record prefix.
-	batchStart := segHeaderSize + pre*frame
-	for cut := batchStart; cut < len(data); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		lt, err := Open(dir, Options{Sync: SyncNever})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		complete := (cut - segHeaderSize) / frame
-		if got := lt.LastSeq(); got != uint64(complete) {
-			t.Fatalf("cut %d: LastSeq = %d, want %d", cut, got, complete)
-		}
-		recs := replayAll(t, lt, 0)
-		if len(recs) != complete {
-			t.Fatalf("cut %d: replayed %d records, want %d", cut, len(recs), complete)
-		}
-		for i, r := range recs {
-			if r != testRecord(i) {
-				t.Fatalf("cut %d: record %d = %+v, want %+v", cut, i, r, testRecord(i))
-			}
-		}
-		var buf []byte
-		buf = testRecord(complete).AppendTo(buf)
-		if cseq, err := lt.Append(buf); err != nil || cseq != uint64(complete)+1 {
-			t.Fatalf("cut %d: continuation append seq %d err %v", cut, cseq, err)
-		}
-		lt.Close()
+	// Cut everywhere from "batch entirely lost" to "batch whole".
+	var cuts []int
+	for cut := batchStart; cut <= len(data); cut++ {
+		cuts = append(cuts, cut)
 	}
+	checkTornCuts(t, filepath.Base(segs[0]), data, ends, cuts)
 }
 
 // TestWALExportTail: the shipped tail is exactly the records a local replay

@@ -2,6 +2,7 @@ package window
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -232,6 +233,31 @@ func TestObservationClone(t *testing.T) {
 	}
 }
 
+// TestBuilderWindowEdges: an event one nanosecond before a window's end
+// folds into it; one exactly at the end opens the next window.
+func TestBuilderWindowEdges(t *testing.T) {
+	_, l := testDevices(t)
+	b := NewBuilder(l, time.Minute)
+	for _, e := range []event.Event{
+		{At: 0, Device: 1, Value: 1},
+		{At: time.Minute - 1, Device: 1, Value: 2},
+		{At: time.Minute, Device: 1, Value: 3},
+	} {
+		out, err := b.Add(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closes := e.At == time.Minute; (len(out) == 1) != closes {
+			t.Fatalf("event at %s emitted %d windows", e.At, len(out))
+		} else if closes && !reflect.DeepEqual(out[0].Numeric[0], []float64{1, 2}) {
+			t.Fatalf("window 0 samples = %v, want [1 2]", out[0].Numeric[0])
+		}
+	}
+	if o := b.Flush(); o.Index != 1 || !reflect.DeepEqual(o.Numeric[0], []float64{3}) {
+		t.Fatalf("window %d samples = %v, want window 1 with [3]", o.Index, o.Numeric[0])
+	}
+}
+
 func TestActuatedStaysSorted(t *testing.T) {
 	_, l := testDevices(t)
 	b := NewBuilder(l, time.Minute)
@@ -248,16 +274,32 @@ func TestActuatedStaysSorted(t *testing.T) {
 	}
 }
 
+// BenchmarkBuilderAdd prices the per-event fold (one event per op) on a
+// home-shaped stream: binary sensors, numeric sensors, actuators switching
+// on and off, and an untrained device, twenty events per window. Emitted
+// windows are recycled as the gateway does, so the steady state allocates
+// only the slice Add returns when a window closes.
 func BenchmarkBuilderAdd(b *testing.B) {
 	reg := device.NewRegistry()
-	reg.MustAdd("m", device.Binary, device.Motion, "a")
-	reg.MustAdd("t", device.Numeric, device.Temperature, "a")
-	l := NewLayout(reg)
-	bld := NewBuilder(l, time.Minute)
+	for i := 0; i < 8; i++ {
+		reg.MustAdd(fmt.Sprintf("motion-%d", i), device.Binary, device.Motion, "a")
+	}
+	for i := 0; i < 4; i++ {
+		reg.MustAdd(fmt.Sprintf("temp-%d", i), device.Numeric, device.Temperature, "a")
+		reg.MustAdd(fmt.Sprintf("bulb-%d", i), device.Actuator, device.SmartBulb, "a")
+	}
+	devices := reg.Len() + 1 // the last ID is unknown to the layout
+	bld := NewBuilder(NewLayout(reg), time.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = bld.Add(event.Event{At: time.Duration(i) * time.Second, Device: 1, Value: 20})
+		out, err := bld.Add(event.Event{At: time.Duration(i) * 3 * time.Second, Device: device.ID(i % devices), Value: float64(i % 2)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range out {
+			bld.Recycle(o)
+		}
 	}
 }
 
