@@ -195,6 +195,70 @@ func TestGatewayWALReplayIdempotentAnyCheckpoint(t *testing.T) {
 	}
 }
 
+// TestGatewayWALLostLogKeepsSequence: a checkpoint restored over an empty
+// log (its WAL directory deleted, as a pre-DICEWAL2 one must be) continues
+// the checkpoint's sequence space, so events ingested afterwards survive
+// a crash before the next checkpoint instead of replaying as covered.
+func TestGatewayWALLostLogKeepsSequence(t *testing.T) {
+	h, ctx := trainedHome(t)
+	evts := faultyAfternoon(t, h, 4)
+
+	ref, err := New(ctx, WithConfig(core.Config{}), WithAlertBuffer(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range evts {
+		if err := ref.Ingest(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refStats := ref.Stats()
+
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	gw1, _ := walGateway(t, ctx, walDir)
+	i := 0
+	for ; i < len(evts) && evts[i].At < 2*time.Hour; i++ {
+		if err := gw1.Ingest(evts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := gw1.ExportCheckpoint()
+	if cp.WALSeq == 0 {
+		t.Fatal("checkpoint carries no WAL sequence; the test is vacuous")
+	}
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restore over the empty log, ingest a little, then crash.
+	gw2, w2 := walGateway(t, ctx, walDir, WithCheckpoint(cp))
+	if err := gw2.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	for ; i < len(evts) && evts[i].At < 2*time.Hour+30*time.Minute; i++ {
+		if err := gw2.Ingest(evts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := gw2.WALSeq(), w2.LastSeq(); got != want || got <= cp.WALSeq {
+		t.Fatalf("WALSeq %d, log tail %d, checkpoint %d: the log restarted its sequence", got, want, cp.WALSeq)
+	}
+
+	gw3, _ := walGateway(t, ctx, walDir, WithCheckpoint(cp))
+	if err := gw3.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	for ; i < len(evts); i++ {
+		if err := gw3.Ingest(evts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := gw3.Stats(); got != refStats {
+		t.Errorf("events logged after the lost WAL did not survive the crash:\n reference: %+v\n recovered: %+v", refStats, got)
+	}
+}
+
 // TestGatewayWALReplayYieldsToAlertConsumer: replay re-emits alerts far
 // faster than live ingest, so on a busy processor it can fill the alert
 // channel before the consumer goroutine, already runnable, gets to run. A
