@@ -75,7 +75,8 @@ type (
 	Layout = window.Layout
 	// Observation is one fixed-duration window of readings.
 	Observation = window.Observation
-	// Builder folds an event stream into observations.
+	// Builder folds an event stream into observations. The slice its Add
+	// and AdvanceTo return is reused by the next call to either.
 	Builder = window.Builder
 )
 

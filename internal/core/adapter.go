@@ -444,7 +444,7 @@ func (a *Adapter) observePending(key string, o *window.Observation) *pendingSet 
 // this to be noise" set, compared against alert devices by the guard.
 func (a *Adapter) diffDevices(v *bitvec.Vec) []device.ID {
 	cands := a.cur.ScanWith(&a.scratch, v, 3)
-	seen := make(map[device.ID]bool)
+	var seen []device.ID
 	for _, gid := range cands.Probable {
 		g, err := a.cur.Group(gid)
 		if err != nil {
@@ -452,11 +452,11 @@ func (a *Adapter) diffDevices(v *bitvec.Vec) []device.ID {
 		}
 		for _, bit := range v.Diff(g) {
 			if id, err := a.bin.DeviceForBit(bit); err == nil {
-				seen[id] = true
+				seen = append(seen, id)
 			}
 		}
 	}
-	return setToSlice(seen)
+	return setOf(seen)
 }
 
 // dropCovered implements the alert guard: a concluded alert naming devices

@@ -114,26 +114,13 @@ func (b *Binarizer) DeviceForBit(bit int) (device.ID, error) {
 // DevicesForBits maps a set of differing bits to the deduplicated set of
 // owning sensors, preserving ascending device-ID order.
 func (b *Binarizer) DevicesForBits(bits []int) ([]device.ID, error) {
-	seen := make(map[device.ID]bool, len(bits))
-	var out []device.ID
+	out := make([]device.ID, 0, len(bits))
 	for _, bit := range bits {
 		id, err := b.DeviceForBit(bit)
 		if err != nil {
 			return nil, err
 		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
-	sortIDs(out)
-	return out, nil
-}
-
-func sortIDs(ids []device.ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	return setOf(out), nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bitvec"
 	"repro/internal/device"
 	"repro/internal/window"
@@ -105,7 +107,7 @@ func (GhostCheck) Run(d *Detector, in CheckInput) *Finding {
 	if ghosts == nil {
 		return nil
 	}
-	sortIDs(ghosts)
+	slices.Sort(ghosts)
 	return &Finding{Cause: CheckGhost, Suspects: ghosts}
 }
 
@@ -217,7 +219,7 @@ func (A2GCheck) Run(d *Detector, in CheckInput) *Finding {
 		}
 		suspects := d.diffSuspects(in.Vec, d.ctx.A2G().Successors(slot))
 		suspects = append(suspects, act)
-		sortIDs(suspects)
+		slices.Sort(suspects)
 		return &Finding{Cause: CheckA2G, Suspects: suspects}
 	}
 	return nil

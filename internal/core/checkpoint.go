@@ -62,21 +62,23 @@ func exportEpisode(ep *episode) *EpisodeState {
 	return &EpisodeState{
 		Cause:          ep.cause,
 		DetectedWindow: ep.detectedWindow,
-		Intersection:   setToSlice(ep.intersection),
+		Intersection:   copyIDs(ep.intersection),
 		Stalls:         ep.stalls,
 		NormalStreak:   ep.normalStreak,
 		Length:         ep.length,
 		Corroboration:  ep.corroboration,
 		MissingEffect:  ep.missingEffect,
 		SurplusEffect:  ep.surplusEffect,
-		OpeningActs:    setToSlice(ep.openingActs),
+		OpeningActs:    copyIDs(ep.openingActs),
 		OpeningPrev:    ep.openingPrev,
-		FiredActs:      setToSlice(ep.firedActs),
+		FiredActs:      copyIDs(ep.firedActs),
 		Trace:          ep.trace.Clone(),
 	}
 }
 
-// restoreEpisode rebuilds one episode from its snapshot.
+// restoreEpisode rebuilds one episode from its snapshot. The device lists
+// go through toSet: a checkpoint is input, and the episode's sets must be
+// ascending and duplicate-free whatever the file holds.
 func restoreEpisode(eps *EpisodeState) *episode {
 	corr := eps.Corroboration
 	if corr == 0 {

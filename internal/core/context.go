@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -302,7 +304,7 @@ func (c *Context) EffectDevices(slot int, minFraction float64) []device.ID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -570,12 +572,7 @@ func (c *Context) ScanWith(s *ScanScratch, v *bitvec.Vec, maxDist int) Candidate
 		res.MinDistance = minDist
 	}
 	if len(within) > 0 {
-		sort.Slice(within, func(i, j int) bool {
-			if within[i].dist != within[j].dist {
-				return within[i].dist < within[j].dist
-			}
-			return within[i].id < within[j].id
-		})
+		slices.SortFunc(within, compareScanCand)
 		s.probable = s.probable[:0]
 		for _, w := range within {
 			s.probable = append(s.probable, w.id)
@@ -584,10 +581,19 @@ func (c *Context) ScanWith(s *ScanScratch, v *bitvec.Vec, maxDist int) Candidate
 	} else if len(nearest) > 0 {
 		// Ties at the minimum can arrive from different buckets out of id
 		// order; restore the ascending order the contract promises.
-		sort.Ints(nearest)
+		slices.Sort(nearest)
 		res.Probable = nearest
 	}
 	return res
+}
+
+// compareScanCand orders candidates by (distance, id), the order
+// Candidates.Probable promises.
+func compareScanCand(a, b scanCand) int {
+	if c := cmp.Compare(a.dist, b.dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // ScanNaive is the retained O(groups) reference implementation of Scan: a

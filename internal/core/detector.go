@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bitvec"
@@ -137,10 +138,13 @@ type Result struct {
 type episode struct {
 	cause          CheckKind
 	detectedWindow int
-	intersection   map[device.ID]bool
-	stalls         int
-	normalStreak   int
-	length         int
+	// intersection, openingActs and firedActs are device sets (set.go):
+	// ascending, duplicate-free, and never aliased by anything the detector
+	// hands out.
+	intersection []device.ID
+	stalls       int
+	normalStreak int
+	length       int
 	// corroboration counts the informative windows that fed this episode,
 	// including the opening one. Multi-fault mode requires a minimum
 	// corroboration before alerting, so one-off transition glitches
@@ -153,13 +157,13 @@ type episode struct {
 	missingEffect bool
 	surplusEffect bool
 	// openingActs are the actuators that fired in the opening window.
-	openingActs map[device.ID]bool
+	openingActs []device.ID
 	// openingPrev is the previous-window group at the opening window.
 	openingPrev int
 	// firedActs collects every actuator that activated during the episode
 	// (including the opening window); a silent-but-expected actuator whose
 	// effect sensors make up the suspect set gets the blame.
-	firedActs map[device.ID]bool
+	firedActs []device.ID
 	// trace accumulates the Explain record reported with the alert.
 	trace *Explain
 }
@@ -208,6 +212,11 @@ type Detector struct {
 	// present-but-unexpected bits.
 	lastDiffMissingOnly bool
 	lastDiffSurplusOnly bool
+
+	// ids is diffSuspects' scratch for collecting owning sensors, and sus
+	// holds the window's suspect set while it feeds multi-fault episodes.
+	ids []device.ID
+	sus []device.ID
 
 	// met holds the telemetry instruments (all nil when uninstrumented;
 	// every update below is nil-safe and allocation-free).
@@ -330,38 +339,39 @@ func (d *Detector) Identifying() bool { return len(d.eps) > 0 }
 // flight (0 or 1 unless MaxFaults > 1).
 func (d *Detector) OpenEpisodes() int { return len(d.eps) }
 
+// clockAnchor is the origin of monoNow. A time.Time taken by time.Now
+// carries a monotonic reading, so time.Since of it reads only the monotonic
+// clock: one cheap clock read per stage boundary.
+var clockAnchor = time.Now()
+
+// monoNow returns the monotonic time elapsed since clockAnchor.
+func monoNow() time.Duration { return time.Since(clockAnchor) }
+
 // Process runs one window through DICE and returns what was concluded.
-// Windows must be fed in time order.
+// Windows must be fed in time order. The stage costs in Result.Timing come
+// from four monotonic clock reads: at the start, after binarization, after
+// the catalogue scan, and after the checks or the identification step.
 func (d *Detector) Process(o *window.Observation) (Result, error) {
 	res := Result{WindowIndex: o.Index, MainGroup: NoGroup}
 
-	t0 := time.Now()
+	t0 := monoNow()
 	v := d.stateVec
 	if err := d.bin.StateSetInto(v, o); err != nil {
 		return Result{}, err
 	}
-	res.Timing.Binarize = time.Since(t0)
-
-	t1 := time.Now()
+	t1 := monoNow()
 	cands := d.ctx.ScanWith(&d.scanScratch, v, d.cfg.CandidateDistance)
-	res.Timing.Correlation = time.Since(t1)
+	t2 := monoNow()
+	res.Timing.Binarize = t1 - t0
+	res.Timing.Correlation = t2 - t1
 	res.MainGroup = cands.Main
-
-	d.met.windows.Inc()
-	d.met.scanSeconds.ObserveDuration(res.Timing.Correlation)
-	if cands.Main != NoGroup {
-		d.met.scanExact.Inc()
-	} else {
-		d.met.scanBucket.Inc()
-		if cands.MinDistance != NoDistance {
-			d.met.scanDistance.Observe(float64(cands.MinDistance))
-		}
-	}
 
 	if len(d.eps) > 0 {
 		// §3.4: during the repetition, skip the checks and go straight to
 		// identification.
 		d.identifyStep(v, cands, o, &res)
+		res.Timing.Identify = monoNow() - t2
+		d.observeScan(cands, res.Timing.Correlation)
 		d.advance(cands.Main, o)
 		return res, nil
 	}
@@ -370,14 +380,14 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 	// run, charged to the stage the window's shape implies (no main group
 	// means the cost went into correlation-style identification; otherwise
 	// it went into transition checking).
-	t2 := time.Now()
 	finding := d.runChecks(CheckInput{Obs: o, Vec: v, Cands: cands})
-	cost := time.Since(t2)
+	cost := monoNow() - t2
 	if cands.Main == NoGroup {
 		res.Timing.Identify = cost
 	} else {
 		res.Timing.Transition = cost
 	}
+	d.observeScan(cands, res.Timing.Correlation)
 
 	if finding != nil {
 		d.met.violation(finding.Cause)
@@ -386,7 +396,7 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 		res.Identifying = true
 		ep := d.openEpisode(finding, cands, o)
 		d.eps = append(d.eps[:0], ep)
-		res.Probable = setToSlice(ep.intersection)
+		res.Probable = copyIDs(ep.intersection)
 		ep.trace.addStep(ExplainStep{
 			Window:       o.Index,
 			Violation:    finding.Cause,
@@ -400,13 +410,28 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 	return res, nil
 }
 
+// observeScan records one window's scan in the telemetry instruments. It
+// runs after the last stage clock read, so no stage is charged for it.
+func (d *Detector) observeScan(cands Candidates, cost time.Duration) {
+	d.met.windows.Inc()
+	d.met.scanSeconds.ObserveDuration(cost)
+	if cands.Main != NoGroup {
+		d.met.scanExact.Inc()
+	} else {
+		d.met.scanBucket.Inc()
+		if cands.MinDistance != NoDistance {
+			d.met.scanDistance.Observe(float64(cands.MinDistance))
+		}
+	}
+}
+
 // openEpisode builds a fresh episode from a finding. The caller appends it
 // to d.eps and records the opening Explain step.
 func (d *Detector) openEpisode(f *Finding, cands Candidates, o *window.Observation) *episode {
 	fired := toSet(o.Actuated)
 	for act, at := range d.recentActs {
 		if o.Index-at <= recentActWindows {
-			fired[act] = true
+			fired = setInsert(fired, act)
 		}
 	}
 	return &episode{
@@ -500,7 +525,7 @@ func (d *Detector) diffSuspects(v *bitvec.Vec, groups []int) []device.ID {
 			nearest = append(nearest, gid)
 		}
 	}
-	seen := make(map[device.ID]bool)
+	d.ids = d.ids[:0]
 	missingOnly := len(nearest) > 0
 	surplusOnly := len(nearest) > 0
 	for _, gid := range nearest {
@@ -517,13 +542,13 @@ func (d *Detector) diffSuspects(v *bitvec.Vec, groups []int) []device.ID {
 				surplusOnly = false
 			}
 			if id, err := d.bin.DeviceForBit(bit); err == nil {
-				seen[id] = true
+				d.ids = append(d.ids, id)
 			}
 		}
 	}
 	d.lastDiffMissingOnly = missingOnly
 	d.lastDiffSurplusOnly = surplusOnly
-	return setToSlice(seen)
+	return toSet(d.ids)
 }
 
 // identifyStep runs one repetition of the identification loop (§3.4): probe
@@ -531,14 +556,11 @@ func (d *Detector) diffSuspects(v *bitvec.Vec, groups []int) []device.ID {
 // conclude the ones whose intersection is small enough or whose patience
 // ran out.
 func (d *Detector) identifyStep(v *bitvec.Vec, cands Candidates, o *window.Observation, res *Result) {
-	t0 := time.Now()
-	defer func() { res.Timing.Identify = time.Since(t0) }()
-
 	res.Identifying = true
 	for _, ep := range d.eps {
 		ep.length++
 		for _, act := range o.Actuated {
-			ep.firedActs[act] = true
+			ep.firedActs = setInsert(ep.firedActs, act)
 		}
 	}
 
@@ -565,8 +587,8 @@ func (d *Detector) feedSingle(f *Finding, o *window.Observation, res *Result) {
 	if f != nil {
 		ep.normalStreak = 0
 		ep.corroboration++
-		next := intersect(ep.intersection, toSet(f.Suspects))
-		if len(next) == 0 {
+		// Narrow in place: a disjoint intersection writes nothing.
+		if next := intersect(ep.intersection[:0], ep.intersection, d.suspectSet(f)); len(next) == 0 {
 			// Disjoint evidence: hold the current intersection, note the
 			// stall.
 			ep.stalls++
@@ -576,7 +598,7 @@ func (d *Detector) feedSingle(f *Finding, o *window.Observation, res *Result) {
 	} else {
 		ep.normalStreak++
 	}
-	res.Probable = setToSlice(ep.intersection)
+	res.Probable = copyIDs(ep.intersection)
 	if f != nil {
 		ep.trace.addStep(ExplainStep{
 			Window:       o.Index,
@@ -585,6 +607,14 @@ func (d *Detector) feedSingle(f *Finding, o *window.Observation, res *Result) {
 			Intersection: res.Probable,
 		})
 	}
+}
+
+// suspectSet returns f's suspects as a set in the detector's scratch,
+// valid until the next call. A custom Check may return them unsorted or
+// with duplicates.
+func (d *Detector) suspectSet(f *Finding) []device.ID {
+	d.sus = setOf(append(d.sus[:0], f.Suspects...))
+	return d.sus
 }
 
 // feedMulti routes one window's evidence across the concurrent episodes:
@@ -601,10 +631,11 @@ func (d *Detector) feedMulti(f *Finding, cands Candidates, o *window.Observation
 		}
 		return
 	}
-	sus := toSet(f.Suspects)
+	sus := d.suspectSet(f)
 	fed := false
 	for _, ep := range d.eps {
-		next := intersect(ep.intersection, sus)
+		// Narrow in place: a disjoint intersection writes nothing.
+		next := intersect(ep.intersection[:0], ep.intersection, sus)
 		if len(next) == 0 {
 			ep.normalStreak++
 			continue
@@ -616,7 +647,7 @@ func (d *Detector) feedMulti(f *Finding, cands Candidates, o *window.Observation
 			Window:       o.Index,
 			Violation:    f.Cause,
 			Suspects:     f.Suspects,
-			Intersection: setToSlice(next),
+			Intersection: next,
 		})
 		fed = true
 	}
@@ -630,7 +661,7 @@ func (d *Detector) feedMulti(f *Finding, cands Candidates, o *window.Observation
 				Window:       o.Index,
 				Violation:    f.Cause,
 				Suspects:     f.Suspects,
-				Intersection: setToSlice(ep.intersection),
+				Intersection: ep.intersection,
 			})
 			d.met.concurrentEps.Inc()
 			res.Detected = true
@@ -657,7 +688,7 @@ func (d *Detector) mergeEpisodes(windowIdx int) {
 	for i := 0; i < len(d.eps); i++ {
 		for j := i + 1; j < len(d.eps); {
 			a, b := d.eps[i], d.eps[j]
-			if !mapSubset(a.intersection, b.intersection) && !mapSubset(b.intersection, a.intersection) {
+			if !subsetOf(a.intersection, b.intersection) && !subsetOf(b.intersection, a.intersection) {
 				j++
 				continue
 			}
@@ -671,14 +702,12 @@ func (d *Detector) mergeEpisodes(windowIdx int) {
 			if b.normalStreak < a.normalStreak {
 				a.normalStreak = b.normalStreak
 			}
-			for act := range b.firedActs {
-				a.firedActs[act] = true
-			}
+			a.firedActs = union(a.firedActs, b.firedActs)
 			a.trace.addStep(ExplainStep{
 				Window:       windowIdx,
 				Violation:    b.cause,
-				Suspects:     setToSlice(b.intersection),
-				Intersection: setToSlice(a.intersection),
+				Suspects:     b.intersection,
+				Intersection: a.intersection,
 			})
 			d.eps = append(d.eps[:j], d.eps[j+1:]...)
 		}
@@ -692,15 +721,13 @@ func (d *Detector) probableUnion() []device.ID {
 	case 0:
 		return nil
 	case 1:
-		return setToSlice(d.eps[0].intersection)
+		return copyIDs(d.eps[0].intersection)
 	}
-	u := make(map[device.ID]bool)
+	var u []device.ID
 	for _, ep := range d.eps {
-		for id := range ep.intersection {
-			u[id] = true
-		}
+		u = union(u, ep.intersection)
 	}
-	return setToSlice(u)
+	return u
 }
 
 // probe evaluates a window during identification: the same check pipeline,
@@ -744,7 +771,7 @@ func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
 	size := len(ep.intersection)
 	early := false
 	if d.cfg.WeightAlarm > 0 {
-		for id := range ep.intersection {
+		for _, id := range ep.intersection {
 			if d.cfg.Weights[id] >= d.cfg.WeightAlarm {
 				early = true
 				break
@@ -779,11 +806,13 @@ func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
 		d.met.suspects.Observe(float64(size))
 		return nil, true
 	}
-	devices := setToSlice(ep.intersection)
+	// A copy: Attest may modify its argument, and the alert must not alias
+	// episode state.
+	devices := copyIDs(ep.intersection)
 	devices = d.attributeToActuator(ep, devices)
 	if d.cfg.Attest != nil {
 		devices = d.cfg.Attest(devices)
-		sortIDs(devices)
+		slices.Sort(devices)
 		if len(devices) == 0 {
 			// Every probable device attested healthy: dismiss the episode
 			// without an alert.
@@ -840,9 +869,10 @@ func (d *Detector) attributeToActuator(ep *episode, devices []device.ID) []devic
 		// surplus effect bits appeared without the occupancy bits that
 		// accompany a legitimate activation (a legitimate firing lands in
 		// a trained group and raises no violation at all).
-		dead := ep.missingEffect && !ep.openingActs[id] &&
+		_, opened := slices.BinarySearch(ep.openingActs, id)
+		dead := ep.missingEffect && !opened &&
 			ep.openingPrev != NoGroup && d.ctx.G2A().Possible(ep.openingPrev, slot)
-		spurious := ep.surplusEffect && ep.openingActs[id]
+		spurious := ep.surplusEffect && opened
 		if !dead && !spurious {
 			continue
 		}
@@ -859,61 +889,4 @@ func (d *Detector) attributeToActuator(ep *episode, devices []device.ID) []devic
 		return devices
 	}
 	return []device.ID{layout.ActuatorID(bestSlot)}
-}
-
-// subsetOf reports whether every element of sub is in sorted super.
-func subsetOf(sub, super []device.ID) bool {
-	j := 0
-	for _, s := range sub {
-		for j < len(super) && super[j] < s {
-			j++
-		}
-		if j >= len(super) || super[j] != s {
-			return false
-		}
-	}
-	return true
-}
-
-// mapSubset reports whether every key of sub is in super.
-func mapSubset(sub, super map[device.ID]bool) bool {
-	if len(sub) > len(super) {
-		return false
-	}
-	for id := range sub {
-		if !super[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func toSet(ids []device.ID) map[device.ID]bool {
-	m := make(map[device.ID]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
-func intersect(a, b map[device.ID]bool) map[device.ID]bool {
-	out := make(map[device.ID]bool)
-	for id := range a {
-		if b[id] {
-			out[id] = true
-		}
-	}
-	return out
-}
-
-func setToSlice(m map[device.ID]bool) []device.ID {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]device.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
 }

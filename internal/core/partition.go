@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -267,6 +268,6 @@ func (s *subHome) toFull(ids []device.ID) []device.ID {
 	for _, id := range ids {
 		out = append(out, s.fromSub[id])
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }

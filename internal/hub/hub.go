@@ -180,7 +180,8 @@ type tenant struct {
 	restore    sync.Once
 	restoreErr error
 
-	// lastOp is wall-clock nanos of the last applied op, for idle eviction.
+	// lastOp is wall-clock nanos of the last applied op (or of Register),
+	// for idle eviction; ops stamp it only when idle eviction is on.
 	lastOp atomic.Int64
 
 	// Supervision state: health is the stored state machine position,

@@ -441,6 +441,50 @@ func TestHubIdleEviction(t *testing.T) {
 	}
 }
 
+// TestHubIdleEvictionSparesBusyTenant: idle eviction keys on each
+// tenant's last applied op, so a tenant that ingests every 10 ms outlives
+// many 50 ms idle timeouts while an idle tenant beside it is evicted.
+func TestHubIdleEvictionSparesBusyTenant(t *testing.T) {
+	h, cctx := trained(t)
+	hub, err := New(WithShards(1), WithIdleEviction(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	for _, home := range []string{"busy", "idle"} {
+		if _, err := hub.Register(home, cctx, tenantGwOpts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := homeStream(t, h, 0)
+	if err := hub.Ingest("idle", stream[0]); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- hub.Run(ctx, nil) }()
+	idleEvicted := false
+	for i := 0; i < 30; i++ { // 300 ms: six idle timeouts
+		if err := hub.Ingest("busy", stream[i]); err != nil {
+			t.Fatalf("busy tenant refused op %d: %v", i, err)
+		}
+		if _, ok := hub.Tenant("idle"); !ok {
+			idleEvicted = true
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := hub.Tenant("busy"); !ok {
+		t.Error("busy tenant was evicted as idle")
+	}
+	if !idleEvicted {
+		t.Error("idle tenant never evicted")
+	}
+}
+
 // TestHubShedsWhenQueueFull: with the worker parked and the queue full,
 // TryIngest sheds (counted) while Ingest would block — backpressure and
 // load-shedding are both real.

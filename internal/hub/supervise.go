@@ -258,7 +258,11 @@ func (h *Hub) applyOp(o op, f func(*gateway.Gateway) error) {
 		h.met.ingestErrors.Inc()
 		return
 	}
-	t.lastOp.Store(time.Now().UnixNano())
+	if h.o.idle > 0 {
+		// Only idle eviction reads the stamp; without it the clock read
+		// would be paid on every op for nothing.
+		t.lastOp.Store(time.Now().UnixNano())
+	}
 	t.recentCur.Add(1)
 	defer func() {
 		if p := recover(); p != nil {

@@ -174,6 +174,10 @@ type Builder struct {
 	// backing arrays are reused for the next window, so a steady-state
 	// stream allocates no per-window state.
 	free []*Observation
+	// emitted backs the slice Add and AdvanceTo return; it is reused by the
+	// next call, so emitting windows allocates nothing once it has grown to
+	// the largest burst.
+	emitted []*Observation
 }
 
 // NewBuilder returns a builder producing windows of the given duration.
@@ -206,13 +210,15 @@ func (b *Builder) Instrument(reg *telemetry.Registry) {
 // Add folds one event in. Events must arrive in non-decreasing time order;
 // an event belonging to a later window than the current one causes the
 // current observation (and any skipped empty ones) to be emitted via the
-// returned slice. The caller owns the returned observations.
+// returned slice. The caller owns the returned observations, but the slice
+// itself is reused by the builder: it is valid only until the next Add or
+// AdvanceTo, so copy the pointers out before calling again.
 func (b *Builder) Add(e event.Event) ([]*Observation, error) {
 	idx := int(e.At / b.duration)
 	if e.At < 0 {
 		return nil, fmt.Errorf("window: negative event time %s", e.At)
 	}
-	var out []*Observation
+	out := b.emitted[:0]
 	if b.cur == nil {
 		if idx < b.floor {
 			return nil, fmt.Errorf("window: event at %s regresses before window %d", e.At, b.floor)
@@ -228,6 +234,7 @@ func (b *Builder) Add(e event.Event) ([]*Observation, error) {
 		b.startWindow(b.cur.Index + 1)
 	}
 	b.fold(e)
+	b.emitted = out
 	return out, nil
 }
 
@@ -250,13 +257,15 @@ func (b *Builder) Flush() *Observation {
 // AdvanceTo declares that stream time has reached t, emitting every window
 // that ends at or before it — including empty ones. A silent stretch of a
 // smart home still produces windows; the all-quiet window is itself a
-// sensor state set the detector must judge.
+// sensor state set the detector must judge. As with Add, the caller owns
+// the observations and the returned slice is valid only until the next Add
+// or AdvanceTo.
 func (b *Builder) AdvanceTo(t time.Duration) ([]*Observation, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("window: negative advance time %s", t)
 	}
 	target := int(t / b.duration) // first window still open at time t
-	var out []*Observation
+	out := b.emitted[:0]
 	if b.cur == nil {
 		if target <= b.floor {
 			return nil, nil
@@ -268,6 +277,7 @@ func (b *Builder) AdvanceTo(t time.Duration) ([]*Observation, error) {
 		b.built.Inc()
 		b.startWindow(b.cur.Index + 1)
 	}
+	b.emitted = out
 	return out, nil
 }
 

@@ -467,24 +467,33 @@ func TestBuilderRecycleRejectsForeignShape(t *testing.T) {
 }
 
 // TestBuilderSteadyStateNoObservationAlloc: once a window has been built
-// and recycled, building the next one allocates no observation state.
+// and recycled, building the next one allocates nothing, whether Add or
+// AdvanceTo emits it: the observation comes from the freelist and the
+// emitted slice is the builder's reused one.
 func TestBuilderSteadyStateNoObservationAlloc(t *testing.T) {
 	_, l := testDevices(t)
 	b := NewBuilder(l, time.Minute)
 	at := time.Duration(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		at += time.Minute
-		emitted, err := b.AdvanceTo(at + time.Minute)
+	recycle := func(emitted []*Observation, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, o := range emitted {
 			b.Recycle(o)
 		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		at += time.Minute
+		recycle(b.AdvanceTo(at + time.Minute))
 	})
-	// One small slice header per emission is tolerated (the emitted slice
-	// itself); the observation payloads must come from the freelist.
-	if allocs > 1 {
-		t.Fatalf("steady-state window turnover allocates %.1f times per window, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state AdvanceTo turnover allocates %.1f times per window, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		at += time.Minute
+		recycle(b.Add(event.Event{At: at + time.Minute, Device: 0, Value: 1}))
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Add turnover allocates %.1f times per window, want 0", allocs)
 	}
 }
