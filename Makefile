@@ -118,14 +118,16 @@ bench-scenarios:
 	$(GO) run ./cmd/dice-eval -exp scenarios
 
 # Short fuzz passes over the wire decoders (binary batch + CoAP), the
-# interval-sketch codec, the WAL segment reader and the checkpoint
-# envelope. Long campaigns run the same targets with a bigger -fuzztime.
+# interval-sketch codec, the WAL segment reader, and the checkpoint and
+# context envelopes. Long campaigns run the same targets with a bigger
+# -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageUnmarshal$$' -fuzztime 5s ./internal/coap/
 	$(GO) test -run '^$$' -fuzz 'FuzzIntervalSketch$$' -fuzztime 5s ./internal/markov/
 	$(GO) test -run '^$$' -fuzz 'FuzzSegment$$' -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/gateway/
+	$(GO) test -run '^$$' -fuzz 'FuzzLoadContext$$' -fuzztime 5s ./internal/core/
 
 # CI perf gate: regenerate the hub benchmark and fail on a >15% regression
 # of the binary-path speedup vs the committed BENCH_hub.json. The gate

@@ -41,7 +41,10 @@
 //     drop beyond the tolerance means the adaptation logic itself got
 //     worse. A fresh run in which the adaptive arm misses any injected
 //     fault, or fails to beat the static arm outright, fails regardless of
-//     tolerance.
+//     tolerance, and so does one whose adaptation counts (final epoch,
+//     groups and edges admitted, decayed edges, adapted groups) differ
+//     from the baseline's: the replay is deterministic, so a difference is
+//     a behaviour change or a stale baseline.
 //   - timing: the share of structurally-missed timing faults the timing
 //     check catches (catch_pct) — a count ratio from a deterministic
 //     replay, no hardware term. Correctness floors are absolute: the fresh
@@ -94,6 +97,17 @@ type driftBench struct {
 		MissedFaults int `json:"missed_faults"`
 	} `json:"adaptive"`
 	ReductionPct float64 `json:"false_alarm_reduction_pct"`
+	driftCounts
+}
+
+// driftCounts are the adaptation counts of the drift replay. The replay is
+// deterministic, so they must equal the baseline exactly.
+type driftCounts struct {
+	FinalEpoch     int `json:"final_epoch"`
+	GroupsAdmitted int `json:"groups_admitted"`
+	EdgesAdmitted  int `json:"edges_admitted"`
+	DecayedEdges   int `json:"decayed_edges"`
+	AdaptedGroups  int `json:"adapted_groups"`
 }
 
 // timingBench mirrors the BENCH_timing.json fields the gate reads.
@@ -259,7 +273,8 @@ func diffCluster(baseline, fresh string, tolerance float64) error {
 // diffDrift gates on the adapter's false-alarm reduction: higher is
 // better, and a fresh reduction more than tolerance below the baseline
 // fails. Correctness floors are absolute: the adaptive arm must miss zero
-// injected faults and must beat the static arm's false-alarm count.
+// injected faults and must beat the static arm's false-alarm count, and
+// the adaptation counts must equal the baseline's.
 func diffDrift(baseline, fresh string, tolerance float64) error {
 	var base, cur driftBench
 	if err := load(baseline, &base); err != nil {
@@ -274,6 +289,10 @@ func diffDrift(baseline, fresh string, tolerance float64) error {
 	if cur.Adaptive.FalseAlarms >= cur.Static.FalseAlarms {
 		return fmt.Errorf("adaptation no longer reduces false alarms: adaptive %d >= static %d",
 			cur.Adaptive.FalseAlarms, cur.Static.FalseAlarms)
+	}
+	if cur.driftCounts != base.driftCounts {
+		return fmt.Errorf("adaptation counts differ from the baseline: fresh %+v, baseline %+v (the replay is deterministic; regenerate the baseline with make bench-drift if the change is intended)",
+			cur.driftCounts, base.driftCounts)
 	}
 	if base.ReductionPct <= 0 || cur.ReductionPct <= 0 {
 		return fmt.Errorf("false_alarm_reduction_pct missing: baseline=%v fresh=%v (regenerate with dice-eval -exp drift)",

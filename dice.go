@@ -40,7 +40,8 @@
 // simulator used for evaluation (internal/simhome), fault injection
 // (internal/faults), the evaluation protocol for every table and figure of
 // the paper (internal/eval), prior-art baselines (internal/baseline), and
-// a CoAP gateway runtime (internal/coap, internal/gateway).
+// a CoAP gateway runtime (internal/coap, internal/gateway), served to
+// devices through the hub's CoAP front (internal/hub).
 package dice
 
 import (
@@ -239,8 +240,9 @@ var (
 )
 
 // LoadContext reads a context saved with Context.Save and binds it to the
-// layout. Both the checksummed DICECKS1 envelope and the legacy plain-JSON
-// form load; integrity failures surface as ErrCorruptContext.
+// layout. Only the checksummed DICECKS1 envelope loads; integrity failures
+// surface as ErrCorruptContext, and a plain-JSON file from before the
+// envelope fails with another error (retrain to replace it).
 func LoadContext(r io.Reader, layout *Layout) (*Context, error) {
 	return core.LoadContext(r, layout)
 }
@@ -413,9 +415,9 @@ var (
 )
 
 // Binary batch wire format (internal/wire): the length-prefixed,
-// CRC-framed encoding devices use to report batches of readings. Both the
-// gateway and hub CoAP fronts negotiate it by payload sniffing, so JSON
-// and binary devices coexist on the same resource paths; the binary path
+// CRC-framed encoding devices use to report batches of readings. The hub's
+// CoAP front negotiates it by payload sniffing, so JSON and binary devices
+// coexist on the same resource paths; the binary path
 // decodes into pooled scratch and ingests a whole batch under one lock
 // with one WAL append.
 type (

@@ -85,26 +85,16 @@ func (k CheckKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
 
-// UnmarshalJSON accepts both the string form and the legacy integer form
-// (pre-observability checkpoints encoded causes as raw ints), so old
-// checkpoint files keep restoring.
+// UnmarshalJSON accepts only the string form MarshalJSON writes.
 func (k *CheckKind) UnmarshalJSON(data []byte) error {
 	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		parsed, perr := ParseCheckKind(s)
-		if perr != nil {
-			return perr
-		}
-		*k = parsed
-		return nil
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("core: cause must be a string: %s", data)
 	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("core: cause must be a string or integer: %s", data)
+	parsed, err := ParseCheckKind(s)
+	if err != nil {
+		return err
 	}
-	if n < int(CheckNone) || n > int(CheckGhost) {
-		return fmt.Errorf("core: cause %d out of range", n)
-	}
-	*k = CheckKind(n)
+	*k = parsed
 	return nil
 }

@@ -8,27 +8,20 @@ import (
 
 // DetectorState is the JSON-serializable runtime state of a Detector: the
 // previous-window group and actuators the transition checks compare
-// against, the recent-actuator history, and any in-flight identification
-// episodes. A gateway checkpoints it so a restarted process resumes the
-// transition check mid-stream instead of cold-starting with NoGroup (which
-// would blind the G2G/G2A/A2G checks for the first post-restart window and
-// abandon a half-finished identification).
+// against, the timing check's gap bookkeeping, and any in-flight
+// identification episodes. A gateway checkpoints it so a restarted process
+// resumes the transition check mid-stream instead of cold-starting with
+// NoGroup (which would blind the G2G/G2A/A2G checks for the first
+// post-restart window and abandon a half-finished identification).
 type DetectorState struct {
-	PrevGroup  int               `json:"prev_group"`
-	PrevActs   []device.ID       `json:"prev_acts,omitempty"`
-	RecentActs map[device.ID]int `json:"recent_acts,omitempty"`
-	// Episode is the legacy single-episode field (pre-multi-fault
-	// checkpoints). Writers populate it with the first open episode so old
-	// readers keep working; readers prefer Episodes when present.
-	Episode *EpisodeState `json:"episode,omitempty"`
+	PrevGroup int         `json:"prev_group"`
+	PrevActs  []device.ID `json:"prev_acts,omitempty"`
 	// Episodes carries every open identification episode in opening order
 	// (more than one only with MaxFaults > 1).
 	Episodes []*EpisodeState `json:"episodes,omitempty"`
-	// Dwell and LastFires carry the timing check's gap bookkeeping (the
+	// Dwell and LastFires carry the timing check's gap bookkeeping: the
 	// consecutive windows spent in PrevGroup, and each actuator slot's most
-	// recent firing window). Absent in pre-timing checkpoints, which restore
-	// with the timing state cold (dwell 0, no firings) — structurally
-	// identical to a fresh segment start.
+	// recent firing window.
 	Dwell     int         `json:"dwell,omitempty"`
 	LastFires map[int]int `json:"last_fires,omitempty"`
 }
@@ -42,18 +35,16 @@ type EpisodeState struct {
 	Stalls         int         `json:"stalls"`
 	NormalStreak   int         `json:"normal_streak"`
 	Length         int         `json:"length"`
-	// Corroboration counts the informative windows that fed the episode;
-	// absent in pre-multi-fault checkpoints, which restore as if the
-	// opening window were the only evidence so far.
+	// Corroboration counts the informative windows that fed the episode,
+	// the opening one included, so it is at least 1.
 	Corroboration int         `json:"corroboration,omitempty"`
 	MissingEffect bool        `json:"missing_effect,omitempty"`
 	SurplusEffect bool        `json:"surplus_effect,omitempty"`
 	OpeningActs   []device.ID `json:"opening_acts,omitempty"`
 	OpeningPrev   int         `json:"opening_prev"`
-	FiredActs     []device.ID `json:"fired_acts,omitempty"`
 	// Trace carries the episode's decision trace across restarts, so an
 	// alert concluded after a restore explains itself identically to one
-	// from an uninterrupted run. Absent in pre-trace checkpoints.
+	// from an uninterrupted run.
 	Trace *Explain `json:"trace,omitempty"`
 }
 
@@ -71,7 +62,6 @@ func exportEpisode(ep *episode) *EpisodeState {
 		SurplusEffect:  ep.surplusEffect,
 		OpeningActs:    copyIDs(ep.openingActs),
 		OpeningPrev:    ep.openingPrev,
-		FiredActs:      copyIDs(ep.firedActs),
 		Trace:          ep.trace.Clone(),
 	}
 }
@@ -80,10 +70,6 @@ func exportEpisode(ep *episode) *EpisodeState {
 // go through toSet: a checkpoint is input, and the episode's sets must be
 // ascending and duplicate-free whatever the file holds.
 func restoreEpisode(eps *EpisodeState) *episode {
-	corr := eps.Corroboration
-	if corr == 0 {
-		corr = 1
-	}
 	return &episode{
 		cause:          eps.Cause,
 		detectedWindow: eps.DetectedWindow,
@@ -91,12 +77,11 @@ func restoreEpisode(eps *EpisodeState) *episode {
 		stalls:         eps.Stalls,
 		normalStreak:   eps.NormalStreak,
 		length:         eps.Length,
-		corroboration:  corr,
+		corroboration:  eps.Corroboration,
 		missingEffect:  eps.MissingEffect,
 		surplusEffect:  eps.SurplusEffect,
 		openingActs:    toSet(eps.OpeningActs),
 		openingPrev:    eps.OpeningPrev,
-		firedActs:      toSet(eps.FiredActs),
 		trace:          eps.Trace.Clone(),
 	}
 }
@@ -118,33 +103,27 @@ func (d *Detector) ExportState() DetectorState {
 		}
 		st.LastFires[slot] = at
 	}
-	if len(d.recentActs) > 0 {
-		st.RecentActs = make(map[device.ID]int, len(d.recentActs))
-		for id, at := range d.recentActs {
-			st.RecentActs[id] = at
-		}
-	}
 	for _, ep := range d.eps {
 		st.Episodes = append(st.Episodes, exportEpisode(ep))
-	}
-	if len(st.Episodes) > 0 {
-		// Mirror the first episode into the legacy field for old readers.
-		st.Episode = st.Episodes[0]
 	}
 	return st
 }
 
 // RestoreState replaces the detector's runtime state with a snapshot taken
-// by ExportState, validating group references against the trained context.
+// by ExportState. A snapshot is input: group references are checked against
+// the trained context, and every episode must carry its trace and at least
+// its opening window's corroboration, as ExportState writes them.
 func (d *Detector) RestoreState(st DetectorState) error {
 	if err := d.checkGroupRef(st.PrevGroup); err != nil {
 		return fmt.Errorf("core: restore prev group: %w", err)
 	}
-	episodes := st.Episodes
-	if episodes == nil && st.Episode != nil {
-		episodes = []*EpisodeState{st.Episode}
-	}
-	for _, eps := range episodes {
+	for i, eps := range st.Episodes {
+		if eps == nil || eps.Trace == nil {
+			return fmt.Errorf("core: restore episode %d: no trace", i)
+		}
+		if eps.Corroboration < 1 {
+			return fmt.Errorf("core: restore episode %d: corroboration %d, want at least 1", i, eps.Corroboration)
+		}
 		if err := d.checkGroupRef(eps.OpeningPrev); err != nil {
 			return fmt.Errorf("core: restore episode opening group: %w", err)
 		}
@@ -164,12 +143,8 @@ func (d *Detector) RestoreState(st DetectorState) error {
 	for slot, at := range st.LastFires {
 		d.lastFire[slot] = at
 	}
-	d.recentActs = make(map[device.ID]int, len(st.RecentActs))
-	for id, at := range st.RecentActs {
-		d.recentActs[id] = at
-	}
 	d.eps = nil
-	for _, eps := range episodes {
+	for _, eps := range st.Episodes {
 		d.eps = append(d.eps, restoreEpisode(eps))
 	}
 	return nil

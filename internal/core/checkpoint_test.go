@@ -122,17 +122,45 @@ func TestDetectorStateRoundTripMidEpisode(t *testing.T) {
 	t.Fatal("episode never concluded")
 }
 
+// TestDetectorRestoreValidates: a checkpoint is input. Out-of-range group
+// references are refused, and so is an episode without the trace and the
+// corroboration of at least 1 (its opening window) that ExportState always
+// writes. A refused restore leaves no episode open.
 func TestDetectorRestoreValidates(t *testing.T) {
 	_, ctx := trainAlternating(t)
-	d := newTestDetector(t, ctx, Config{})
-	if err := d.RestoreState(DetectorState{PrevGroup: 9999}); err == nil {
-		t.Error("out-of-range previous group accepted")
+	valid := func() *EpisodeState {
+		return &EpisodeState{Cause: CheckCorrelation, OpeningPrev: NoGroup, Corroboration: 1, Trace: &Explain{}}
 	}
-	if err := d.RestoreState(DetectorState{
-		PrevGroup: NoGroup,
-		Episode:   &EpisodeState{OpeningPrev: 9999},
-	}); err == nil {
-		t.Error("out-of-range episode opening group accepted")
+	withEpisode := func(edit func(*EpisodeState)) DetectorState {
+		ep := valid()
+		edit(ep)
+		return DetectorState{PrevGroup: NoGroup, Episodes: []*EpisodeState{valid(), ep}}
+	}
+	for _, tc := range []struct {
+		name string
+		st   DetectorState
+	}{
+		{"previous group out of range", DetectorState{PrevGroup: 9999}},
+		{"opening group out of range", withEpisode(func(ep *EpisodeState) { ep.OpeningPrev = 9999 })},
+		{"nil episode", DetectorState{PrevGroup: NoGroup, Episodes: []*EpisodeState{valid(), nil}}},
+		{"no trace", withEpisode(func(ep *EpisodeState) { ep.Trace = nil })},
+		{"corroboration 0", withEpisode(func(ep *EpisodeState) { ep.Corroboration = 0 })},
+		{"negative corroboration", withEpisode(func(ep *EpisodeState) { ep.Corroboration = -3 })},
+	} {
+		d := newTestDetector(t, ctx, Config{})
+		if err := d.RestoreState(tc.st); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if d.Identifying() {
+			t.Errorf("%s: refused restore left episodes open", tc.name)
+		}
+	}
+	d := newTestDetector(t, ctx, Config{MaxFaults: 2})
+	if err := d.RestoreState(withEpisode(func(*EpisodeState) {})); err != nil {
+		t.Fatalf("complete state refused: %v", err)
+	}
+	if d.OpenEpisodes() != 2 {
+		t.Errorf("restored %d episodes, want 2", d.OpenEpisodes())
 	}
 	if err := d.RestoreState(DetectorState{PrevGroup: NoGroup}); err != nil {
 		t.Errorf("legal NoGroup state rejected: %v", err)

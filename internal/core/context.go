@@ -161,8 +161,8 @@ func (c *Context) clone() *Context {
 // Layout returns the device layout.
 func (c *Context) Layout() *window.Layout { return c.layout }
 
-// Epoch returns the context's version number: 0 for a freshly trained (or
-// legacy-loaded) context, +1 per published adaptation.
+// Epoch returns the context's version number: 0 for a freshly trained
+// context, +1 per published adaptation.
 func (c *Context) Epoch() uint64 { return c.epoch }
 
 // Fingerprint returns the version's content hash (16 hex digits over the
@@ -702,10 +702,14 @@ type contextJSON struct {
 // rather than restoring garbage.
 var ErrCorruptContext = errors.New("core: corrupt context")
 
+// ErrLegacyContext marks a context file without the DICECKS1 envelope: a
+// plain-JSON save from before the envelope existed. It is not damage, and
+// no build reads it any more; retrain (dice-train) to replace the file.
+var ErrLegacyContext = errors.New("core: legacy context file without DICECKS1 envelope")
+
 // ctxMagic opens the checksummed context envelope — the same DICECKS1
 // framing gateway checkpoints use: magic + 4-byte little-endian CRC32-C of
-// the JSON payload + the JSON. Files without the magic are pre-envelope
-// plain JSON and still readable.
+// the JSON payload + the JSON.
 var ctxMagic = [8]byte{'D', 'I', 'C', 'E', 'C', 'K', 'S', '1'}
 
 var ctxCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -771,33 +775,37 @@ func (c *Context) Save(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("core: save context: %w", err)
 	}
-	var head [12]byte
-	copy(head[:8], ctxMagic[:])
-	binary.LittleEndian.PutUint32(head[8:12], crc32.Checksum(payload, ctxCRCTable))
-	if _, err := w.Write(head[:]); err != nil {
-		return fmt.Errorf("core: save context: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(sealContext(payload)); err != nil {
 		return fmt.Errorf("core: save context: %w", err)
 	}
 	return nil
 }
 
+// sealContext wraps a JSON payload in the checksummed envelope.
+func sealContext(payload []byte) []byte {
+	out := make([]byte, 12+len(payload))
+	copy(out[:8], ctxMagic[:])
+	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(payload, ctxCRCTable))
+	copy(out[12:], payload)
+	return out
+}
+
 // LoadContext reads a context saved by Save and binds it to the layout,
-// verifying that the device names match position for position. Enveloped
-// files are CRC-checked (damage reports ErrCorruptContext); legacy
-// plain-JSON saves still load, pinned to epoch 0.
+// verifying that the device names match position for position. The
+// envelope is CRC-checked (damage reports ErrCorruptContext); a file
+// without it reports ErrLegacyContext.
 func LoadContext(r io.Reader, layout *window.Layout) (*Context, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load context: %w", err)
 	}
-	if len(data) >= 12 && bytes.Equal(data[:8], ctxMagic[:]) {
-		want := binary.LittleEndian.Uint32(data[8:12])
-		data = data[12:]
-		if crc32.Checksum(data, ctxCRCTable) != want {
-			return nil, fmt.Errorf("%w: envelope fails CRC", ErrCorruptContext)
-		}
+	if len(data) < 12 || !bytes.Equal(data[:8], ctxMagic[:]) {
+		return nil, ErrLegacyContext
+	}
+	want := binary.LittleEndian.Uint32(data[8:12])
+	data = data[12:]
+	if crc32.Checksum(data, ctxCRCTable) != want {
+		return nil, fmt.Errorf("%w: envelope fails CRC", ErrCorruptContext)
 	}
 	var cj contextJSON
 	if err := json.Unmarshal(data, &cj); err != nil {

@@ -314,8 +314,8 @@ func TestContextSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestContextEnvelope: Save writes the checksummed DICECKS1 envelope; a
-// flipped payload byte surfaces as ErrCorruptContext, and a legacy
-// plain-JSON stream (no envelope) still loads.
+// flipped payload byte surfaces as ErrCorruptContext, and a plain-JSON
+// stream (no envelope) fails with ErrLegacyContext.
 func TestContextEnvelope(t *testing.T) {
 	l := coreLayout(t)
 	cb, err := NewContextBuilder(l, time.Minute, []float64{1, 2})
@@ -340,19 +340,21 @@ func TestContextEnvelope(t *testing.T) {
 		t.Errorf("corrupt payload: err = %v, want ErrCorruptContext", err)
 	}
 
-	// Legacy fallback: the bare JSON payload (as written before the
-	// envelope existed) still loads.
-	legacy, err := LoadContext(bytes.NewReader(raw[12:]), l)
-	if err != nil {
-		t.Fatalf("legacy plain-JSON load: %v", err)
+	// The bare JSON payload, as written before the envelope existed, and
+	// inputs too short to hold one are legacy files, not damage.
+	for _, legacy := range [][]byte{raw[12:], raw[:11], nil} {
+		_, err := LoadContext(bytes.NewReader(legacy), l)
+		if !errors.Is(err, ErrLegacyContext) || errors.Is(err, ErrCorruptContext) {
+			t.Errorf("%d-byte file without envelope: err = %v, want ErrLegacyContext", len(legacy), err)
+		}
 	}
-	if legacy.Fingerprint() != ctx.Fingerprint() {
-		t.Errorf("legacy load fingerprint %q, want %q", legacy.Fingerprint(), ctx.Fingerprint())
+	if got, err := LoadContext(bytes.NewReader(sealContext(raw[12:])), l); err != nil || got.Fingerprint() != ctx.Fingerprint() {
+		t.Fatalf("resealed payload: err = %v", err)
 	}
 
-	// A tampered fingerprint field fails verification.
+	// A tampered fingerprint field under a valid CRC fails verification.
 	tampered := strings.Replace(string(raw[12:]), ctx.Fingerprint(), strings.Repeat("0", 16), 1)
-	if _, err := LoadContext(strings.NewReader(tampered), l); !errors.Is(err, ErrCorruptContext) {
+	if _, err := LoadContext(bytes.NewReader(sealContext([]byte(tampered))), l); !errors.Is(err, ErrCorruptContext) {
 		t.Errorf("tampered fingerprint: err = %v, want ErrCorruptContext", err)
 	}
 }
@@ -369,20 +371,25 @@ func TestLoadContextRejectsWrongLayout(t *testing.T) {
 	if err := ctx.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Work on the bare payload (legacy path) with the fingerprint blanked,
-	// so the layout checks are what reject the mutations rather than the
-	// integrity checks.
+	// Reseal the payload with the fingerprint blanked, so the layout
+	// checks are what reject the mutations rather than the integrity
+	// checks.
 	text := strings.Replace(buf.String()[12:], ctx.Fingerprint(), "", 1)
-	mutated := strings.Replace(text, "motion-a", "motion-X", 1)
-	if _, err := LoadContext(strings.NewReader(mutated), l); err == nil {
+	load := func(payload string) error {
+		_, err := LoadContext(bytes.NewReader(sealContext([]byte(payload))), l)
+		return err
+	}
+	if err := load(text); err != nil {
+		t.Fatalf("unmutated payload rejected: %v", err)
+	}
+	if load(strings.Replace(text, "motion-a", "motion-X", 1)) == nil {
 		t.Error("renamed device accepted")
 	}
-	if _, err := LoadContext(strings.NewReader("{bad json"), l); err == nil {
+	if load("{bad json") == nil {
 		t.Error("malformed JSON accepted")
 	}
 	// Wrong group width.
-	badWidth := strings.Replace(text, `"10000000"`, `"100"`, 1)
-	if _, err := LoadContext(strings.NewReader(badWidth), l); err == nil {
+	if load(strings.Replace(text, `"10000000"`, `"100"`, 1)) == nil {
 		t.Error("wrong group width accepted")
 	}
 }

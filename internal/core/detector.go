@@ -29,13 +29,12 @@ const (
 	// CheckTiming flags a structurally valid transition whose inter-window
 	// gap falls outside the interval band learned during training: the
 	// right transition at the wrong pace (a delayed actuator, a slowly
-	// degrading sensor). It sits after CheckLiveness so legacy integer
-	// encodings of the earlier causes stay stable.
+	// degrading sensor). It sits after CheckLiveness so the earlier causes
+	// keep their values.
 	CheckTiming
 	// CheckGhost flags actuator events from a device ID the layout does
 	// not know — a spoofed or ghost device injecting traffic into the
-	// home. It sits last so legacy integer encodings of the earlier
-	// causes stay stable.
+	// home. It sits last so the earlier causes keep their values.
 	CheckGhost
 )
 
@@ -99,7 +98,7 @@ type Alert struct {
 	EarlyWeight bool
 	// Explain is the decision trace behind the alert: the opening window,
 	// matched/probable groups, violated transition, and intersection
-	// history. Nil only for episodes restored from a pre-trace checkpoint.
+	// history. Every alert carries one.
 	Explain *Explain `json:"explain,omitempty"`
 }
 
@@ -138,9 +137,8 @@ type Result struct {
 type episode struct {
 	cause          CheckKind
 	detectedWindow int
-	// intersection, openingActs and firedActs are device sets (set.go):
-	// ascending, duplicate-free, and never aliased by anything the detector
-	// hands out.
+	// intersection and openingActs are device sets (set.go): ascending,
+	// duplicate-free, and never aliased by anything the detector hands out.
 	intersection []device.ID
 	stalls       int
 	normalStreak int
@@ -160,10 +158,6 @@ type episode struct {
 	openingActs []device.ID
 	// openingPrev is the previous-window group at the opening window.
 	openingPrev int
-	// firedActs collects every actuator that activated during the episode
-	// (including the opening window); a silent-but-expected actuator whose
-	// effect sensors make up the suspect set gets the blame.
-	firedActs []device.ID
 	// trace accumulates the Explain record reported with the alert.
 	trace *Explain
 }
@@ -201,12 +195,6 @@ type Detector struct {
 	stateVec    *bitvec.Vec
 	scanScratch ScanScratch
 
-	// recentActs remembers which window each actuator last fired in, so an
-	// episode can tell a dead actuator (no recent firing) from a faulty
-	// effect sensor (the actuator fired recently; its effect reached the
-	// home but was misreported).
-	recentActs map[device.ID]int
-
 	// lastDiffMissingOnly / lastDiffSurplusOnly report the direction of the
 	// most recent diffSuspects call: only expected-but-absent bits, or only
 	// present-but-unexpected bits.
@@ -222,10 +210,6 @@ type Detector struct {
 	// every update below is nil-safe and allocation-free).
 	met detMetrics
 }
-
-// recentActWindows is how far back an actuator firing still counts as "the
-// actuator acted recently" when attributing missing effects.
-const recentActWindows = 15
 
 // minCorroboration is how many informative windows a multi-fault episode
 // needs before it may alert; episodes that run out of patience below it are
@@ -254,15 +238,14 @@ func newDetector(ctx *Context, o detOptions) (*Detector, error) {
 		lastFire[i] = -1
 	}
 	return &Detector{
-		cfg:        o.cfg.Normalize(),
-		ctx:        ctx,
-		bin:        bin,
-		prevGroup:  NoGroup,
-		checks:     checks,
-		lastFire:   lastFire,
-		stateVec:   bitvec.New(bin.NumBits()),
-		recentActs: make(map[device.ID]int),
-		met:        newDetMetrics(o.tel),
+		cfg:       o.cfg.Normalize(),
+		ctx:       ctx,
+		bin:       bin,
+		prevGroup: NoGroup,
+		checks:    checks,
+		lastFire:  lastFire,
+		stateVec:  bitvec.New(bin.NumBits()),
+		met:       newDetMetrics(o.tel),
 	}, nil
 }
 
@@ -307,7 +290,6 @@ func (d *Detector) Reset() {
 	d.prevGroup = NoGroup
 	d.prevActs = d.prevActs[:0]
 	d.eps = nil
-	d.recentActs = make(map[device.ID]int)
 	d.dwell = 0
 	for i := range d.lastFire {
 		d.lastFire[i] = -1
@@ -428,12 +410,6 @@ func (d *Detector) observeScan(cands Candidates, cost time.Duration) {
 // openEpisode builds a fresh episode from a finding. The caller appends it
 // to d.eps and records the opening Explain step.
 func (d *Detector) openEpisode(f *Finding, cands Candidates, o *window.Observation) *episode {
-	fired := toSet(o.Actuated)
-	for act, at := range d.recentActs {
-		if o.Index-at <= recentActWindows {
-			fired = setInsert(fired, act)
-		}
-	}
 	return &episode{
 		cause:          f.Cause,
 		detectedWindow: o.Index,
@@ -443,7 +419,6 @@ func (d *Detector) openEpisode(f *Finding, cands Candidates, o *window.Observati
 		surplusEffect:  d.lastDiffSurplusOnly,
 		openingActs:    toSet(o.Actuated),
 		openingPrev:    d.prevGroup,
-		firedActs:      fired,
 		trace: &Explain{
 			Cause:          f.Cause,
 			DetectedWindow: o.Index,
@@ -472,7 +447,6 @@ func (d *Detector) advance(mainGroup int, o *window.Observation) {
 	d.prevGroup = mainGroup
 	d.prevActs = append(d.prevActs[:0], o.Actuated...)
 	for _, act := range o.Actuated {
-		d.recentActs[act] = o.Index
 		if slot, ok := d.ctx.Layout().ActuatorSlot(act); ok {
 			d.lastFire[slot] = o.Index
 		}
@@ -559,9 +533,6 @@ func (d *Detector) identifyStep(v *bitvec.Vec, cands Candidates, o *window.Obser
 	res.Identifying = true
 	for _, ep := range d.eps {
 		ep.length++
-		for _, act := range o.Actuated {
-			ep.firedActs = setInsert(ep.firedActs, act)
-		}
 	}
 
 	f := d.probe(v, cands, o)
@@ -702,7 +673,6 @@ func (d *Detector) mergeEpisodes(windowIdx int) {
 			if b.normalStreak < a.normalStreak {
 				a.normalStreak = b.normalStreak
 			}
-			a.firedActs = union(a.firedActs, b.firedActs)
 			a.trace.addStep(ExplainStep{
 				Window:       windowIdx,
 				Violation:    b.cause,
@@ -822,17 +792,14 @@ func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
 			return nil, true
 		}
 	}
-	trace := ep.trace
-	if trace != nil {
-		trace.ReportedWindow = res.WindowIndex
-	}
+	ep.trace.ReportedWindow = res.WindowIndex
 	alert := &Alert{
 		Devices:        devices,
 		Cause:          ep.cause,
 		DetectedWindow: ep.detectedWindow,
 		ReportedWindow: res.WindowIndex,
 		EarlyWeight:    early && size > 1,
-		Explain:        trace,
+		Explain:        ep.trace,
 	}
 	d.met.episodes.Inc()
 	d.met.episodeLen.Observe(float64(res.WindowIndex - ep.detectedWindow + 1))

@@ -61,9 +61,6 @@ type ExplainStep struct {
 // normalized to nil so a trace that round-trips through checkpoint JSON
 // (where omitempty drops them) compares DeepEqual to the original.
 func (e *Explain) addStep(s ExplainStep) {
-	if e == nil {
-		return
-	}
 	if len(e.Steps) >= maxExplainSteps {
 		e.TruncatedSteps++
 		return

@@ -26,15 +26,6 @@ func setOf(ids []device.ID) []device.ID {
 // left untouched.
 func toSet(ids []device.ID) []device.ID { return setOf(slices.Clone(ids)) }
 
-// setInsert adds id to s, returning the (possibly grown) set.
-func setInsert(s []device.ID, id device.ID) []device.ID {
-	i, ok := slices.BinarySearch(s, id)
-	if ok {
-		return s
-	}
-	return slices.Insert(s, i, id)
-}
-
 // intersect appends the IDs common to a and b to dst and returns it. dst
 // may be a[:0]: the merge writes position k only after reading a[k], and it
 // writes nothing at all when the sets are disjoint, so a stays intact when

@@ -11,51 +11,34 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/coap"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/wal"
 	"repro/internal/window"
 )
 
-// CheckpointVersion is bumped when the checkpoint schema changes; Read
-// migrates older schemas it understands and rejects the rest rather than
-// restoring garbage. v1 files (the original single-home schema, keyed
-// "version") migrate transparently to the v2 envelope (keyed "v", with an
-// optional tenant Home) on read; v2 files are valid v3 payloads with no
-// context version pin (adaptation arrived with v3), and v3 files are valid
-// v4 payloads whose detector state carries at most the one legacy episode
-// (concurrent episodes arrived with v4), so those migrations are relabels
-// too.
+// CheckpointVersion is the only checkpoint schema this build reads. A file
+// at any other version, or without the DICECKS1 envelope, fails with
+// ErrLegacyCheckpoint rather than restoring garbage.
 const CheckpointVersion = 4
 
-// checkpointV3 is the pre-multi-fault envelope schema: the detector state
-// carries a single optional episode instead of the open-episode list.
-const checkpointV3 = 3
-
-// checkpointV2 is the pre-adaptation envelope schema: same fields minus
-// the context version pin and adapter ledger.
-const checkpointV2 = 2
-
-// checkpointLegacyVersion is the pre-envelope schema: same payload fields,
-// version carried in a "version" key, no tenancy.
-const checkpointLegacyVersion = 1
+// ErrLegacyCheckpoint marks a checkpoint this build does not read: a
+// pre-envelope plain-JSON file, or an envelope whose schema version is not
+// CheckpointVersion. Unlike ErrCorruptCheckpoint it is no cue to cold-start
+// over the WAL, which is truncated behind the checkpoint it belongs to:
+// delete the checkpoint and its WAL directory and let the devices rebuild
+// the state.
+var ErrLegacyCheckpoint = errors.New("gateway: legacy checkpoint")
 
 // Checkpoint is the crash-safe persisted runtime state of a gateway: every
 // piece of state the transition check and window builder carry between
-// windows, plus the counters and the CoAP dedup cache. A gateway restored
-// from a checkpoint resumes the stream mid-window — same previous group,
-// same partial window, same in-flight identification episode — so a restart
-// neither raises a spurious violation nor double-ingests a retransmitted
-// report.
+// windows, plus the counters. A gateway restored from a checkpoint resumes
+// the stream mid-window — same previous group, same partial window, same
+// in-flight identification episodes — so a restart raises no spurious
+// violation.
 type Checkpoint struct {
-	// V is the schema version of the envelope ("v":2). The legacy v1
-	// schema carried its version under "version" instead; migrate folds
-	// such files forward.
+	// V is the schema version ("v":4).
 	V int `json:"v"`
-	// LegacyVersion is the v1 "version" key, kept so v1 files parse; it is
-	// zero on every file written at v2 or later.
-	LegacyVersion int `json:"version,omitempty"`
 	// Home is the tenant this checkpoint belongs to. Empty for a
 	// single-home gateway; a hub stamps its tenant ID so a checkpoint
 	// directory is self-describing and a file restored into the wrong
@@ -69,10 +52,6 @@ type Checkpoint struct {
 	Builder     window.BuilderState `json:"builder"`
 	LastSeenMS  map[device.ID]int64 `json:"last_seen_ms,omitempty"`
 	Dark        []device.ID         `json:"dark,omitempty"`
-	// Dedup carries the CoAP server's completed exchanges so retransmitted
-	// pre-crash requests keep being absorbed after the restart (the dedup
-	// cache high-water mark travels with the state it protects).
-	Dedup []coap.DedupEntry `json:"dedup,omitempty"`
 	// WALSeq is the sequence number of the last WAL op this checkpoint
 	// covers: replay after restore skips everything at or below it, and a
 	// successful checkpoint write lets the owner truncate segments it
@@ -99,8 +78,7 @@ type ContextCheckpoint struct {
 	Data        []byte `json:"data"`
 }
 
-// ExportCheckpoint snapshots the gateway's runtime state. The CoAP dedup
-// cache is added by Front.Checkpoint; a bare gateway leaves it empty.
+// ExportCheckpoint snapshots the gateway's runtime state.
 func (g *Gateway) ExportCheckpoint() *Checkpoint {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -148,8 +126,8 @@ func (g *Gateway) RestoreCheckpoint(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("gateway: nil checkpoint")
 	}
-	if err := cp.Migrate(); err != nil {
-		return err
+	if cp.V != CheckpointVersion {
+		return fmt.Errorf("%w: version %d, want %d", ErrLegacyCheckpoint, cp.V, CheckpointVersion)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -236,31 +214,6 @@ func (g *Gateway) restoreContextLocked(cc *ContextCheckpoint, ast *core.AdapterS
 	return nil
 }
 
-// Migrate folds an older checkpoint schema forward to CheckpointVersion in
-// place. A v1 file is a valid v4 payload with the version under the legacy
-// key and no tenancy, a v2 file is a valid v4 payload with no context pin,
-// and a v3 file is a valid v4 payload whose detector state holds at most
-// one (legacy-keyed) episode, so all three migrations are relabels;
-// anything else (a future version, or a file with no recognizable version
-// at all) errors.
-func (cp *Checkpoint) Migrate() error {
-	switch {
-	case cp.V == CheckpointVersion:
-		return nil
-	case cp.V == checkpointV3, cp.V == checkpointV2:
-		cp.V = CheckpointVersion
-		return nil
-	case cp.V == 0 && cp.LegacyVersion == checkpointLegacyVersion:
-		cp.V = CheckpointVersion
-		cp.LegacyVersion = 0
-		return nil
-	case cp.V == 0:
-		return fmt.Errorf("gateway: checkpoint has legacy version %d, want %d", cp.LegacyVersion, checkpointLegacyVersion)
-	default:
-		return fmt.Errorf("gateway: checkpoint version %d, want %d", cp.V, CheckpointVersion)
-	}
-}
-
 // ErrCorruptCheckpoint marks a checkpoint file whose checksum envelope
 // failed to verify — a torn write or bit rot, not a schema problem.
 // Callers should treat it as "no checkpoint" (cold start + WAL replay)
@@ -270,7 +223,6 @@ var ErrCorruptCheckpoint = errors.New("gateway: corrupt checkpoint")
 
 // ckptMagic opens the checksummed checkpoint envelope:
 // magic + 4-byte little-endian CRC32-C of the JSON payload + the JSON.
-// Files without the magic are pre-envelope plain JSON and still readable.
 var ckptMagic = [8]byte{'D', 'I', 'C', 'E', 'C', 'K', 'S', '1'}
 
 var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -284,31 +236,37 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: checkpoint encode: %w", err)
 	}
+	return sealCheckpoint(payload), nil
+}
+
+// sealCheckpoint wraps a JSON payload in the checksummed envelope.
+func sealCheckpoint(payload []byte) []byte {
 	out := make([]byte, 12+len(payload))
 	copy(out[:8], ckptMagic[:])
 	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(payload, ckptCRCTable))
 	copy(out[12:], payload)
-	return out, nil
+	return out
 }
 
 // DecodeCheckpoint parses envelope bytes produced by EncodeCheckpoint (or
 // read whole from a WriteCheckpoint file), verifying the checksum (damage
-// reports ErrCorruptCheckpoint) and migrating older schemas — including
-// pre-envelope bare-JSON payloads — forward.
+// reports ErrCorruptCheckpoint) and the schema version (a file without the
+// envelope, or at another version, reports ErrLegacyCheckpoint).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) >= 12 && bytes.Equal(data[:8], ckptMagic[:]) {
-		want := binary.LittleEndian.Uint32(data[8:12])
-		data = data[12:]
-		if crc32.Checksum(data, ckptCRCTable) != want {
-			return nil, fmt.Errorf("%w: envelope fails CRC", ErrCorruptCheckpoint)
-		}
+	if len(data) < 12 || !bytes.Equal(data[:8], ckptMagic[:]) {
+		return nil, fmt.Errorf("%w: no DICECKS1 envelope", ErrLegacyCheckpoint)
+	}
+	want := binary.LittleEndian.Uint32(data[8:12])
+	data = data[12:]
+	if crc32.Checksum(data, ckptCRCTable) != want {
+		return nil, fmt.Errorf("%w: envelope fails CRC", ErrCorruptCheckpoint)
 	}
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("gateway: parse checkpoint: %w", err)
 	}
-	if err := cp.Migrate(); err != nil {
-		return nil, err
+	if cp.V != CheckpointVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrLegacyCheckpoint, cp.V, CheckpointVersion)
 	}
 	return &cp, nil
 }
@@ -356,9 +314,8 @@ func WriteCheckpoint(path string, cp *Checkpoint) error {
 }
 
 // ReadCheckpoint loads a checkpoint written by WriteCheckpoint, verifying
-// the checksum envelope (damage reports ErrCorruptCheckpoint) and
-// migrating older schemas — the pre-CRC bare-JSON files and the
-// unenveloped v1 payloads inside them — forward on the way in.
+// the checksum envelope (damage reports ErrCorruptCheckpoint) and the
+// schema version (older files report ErrLegacyCheckpoint).
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

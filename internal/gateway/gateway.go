@@ -33,7 +33,7 @@ type Alert struct {
 	ReportedAt time.Duration `json:"reported_at"`
 	// Explain is the decision trace: the detector's episode trace for
 	// violation alerts, a single-step silence trace for liveness alerts.
-	// Nil only for episodes restored from a pre-trace checkpoint.
+	// Every alert carries one.
 	Explain *core.Explain `json:"explain,omitempty"`
 }
 
@@ -326,8 +326,8 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 }
 
 // Telemetry returns the gateway's metric registry: its own series plus the
-// detector's, the window builder's, and (once ServeCoAP attaches one) the
-// CoAP server's. This is what /metrics exposes.
+// detector's and the window builder's. A hub's /metrics exposes it stamped
+// with the tenant's home label.
 func (g *Gateway) Telemetry() *telemetry.Registry { return g.tel }
 
 // Alerts returns the alert channel. It is never closed; buffer overruns

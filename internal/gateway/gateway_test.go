@@ -161,47 +161,6 @@ func TestGatewayAdvanceIdempotent(t *testing.T) {
 	}
 }
 
-func TestCoAPFrontEndToEnd(t *testing.T) {
-	h, ctx := trainedHome(t)
-	gw, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := ServeCoAP(gw, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-
-	agent, err := NewAgent(front.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Close()
-
-	start := 3 * 24 * 60
-	evts := h.Events(start, start+30)
-	for _, e := range evts {
-		e.At -= time.Duration(start) * time.Minute
-		if err := agent.Report(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := agent.Advance(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	st, err := agent.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Events != int64(len(evts)) {
-		t.Errorf("gateway saw %d events, want %d", st.Events, len(evts))
-	}
-	if st.Windows != 30 {
-		t.Errorf("gateway closed %d windows, want 30", st.Windows)
-	}
-}
-
 func TestWindowBuilderAdvanceTo(t *testing.T) {
 	_, ctx := trainedHome(t)
 	b := window.NewBuilder(ctx.Layout(), time.Minute)

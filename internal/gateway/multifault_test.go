@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -55,6 +56,52 @@ func stormAfternoon(t *testing.T, h *simhome.Home, hours int) []event.Event {
 // uninterrupted reference, and the v4 envelope must round-trip both open
 // episodes.
 func TestGatewayMultiFaultCheckpointResume(t *testing.T) {
+	resumeStorm(t, nil)
+}
+
+// TestCheckpointParentV4Restores: v4 files written before the detector
+// dropped its actuator history and its single-episode mirror still carry
+// "recent_acts", "episode" and per-episode "fired_acts" keys. Such a file,
+// written mid-storm with two episodes open, must restore and stitch into
+// the same alerts and Explain traces as an uninterrupted run.
+func TestCheckpointParentV4Restores(t *testing.T) {
+	resumeStorm(t, func(t *testing.T, path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp map[string]any
+		if err := json.Unmarshal(data[12:], &cp); err != nil {
+			t.Fatal(err)
+		}
+		det := cp["detector"].(map[string]any)
+		eps := det["episodes"].([]any)
+		for _, ep := range eps {
+			ep := ep.(map[string]any)
+			ep["fired_acts"] = ep["opening_acts"]
+		}
+		det["episode"] = eps[0]
+		// Actuator ID -> window of its last firing; no decision read it.
+		det["recent_acts"] = map[string]int{"0": 1}
+		payload, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"recent_acts"`, `"episode"`, `"fired_acts"`} {
+			if !bytes.Contains(payload, []byte(key)) {
+				t.Fatalf("rewritten checkpoint lacks %s", key)
+			}
+		}
+		if err := os.WriteFile(path, sealCheckpoint(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// resumeStorm runs the mid-storm kill. rewrite, when set, edits the
+// checkpoint file between the crash and the restart.
+func resumeStorm(t *testing.T, rewrite func(t *testing.T, path string)) {
+	t.Helper()
 	h, ctx := trainedHome(t)
 	evts := stormAfternoon(t, h, 6)
 	cfg := core.Config{MaxFaults: 2}
@@ -99,6 +146,9 @@ func TestGatewayMultiFaultCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gateway.ckpt")
 	if err := WriteCheckpoint(path, gw1.ExportCheckpoint()); err != nil {
 		t.Fatal(err)
+	}
+	if rewrite != nil {
+		rewrite(t, path)
 	}
 
 	cp, err := ReadCheckpoint(path)

@@ -2,15 +2,13 @@ package gateway
 
 import (
 	"encoding/json"
-	"net"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/coap"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/event"
@@ -47,89 +45,6 @@ func drainAlerts(gw *Gateway) []Alert {
 		default:
 			return out
 		}
-	}
-}
-
-// replayThroughCoAP streams evts to a fresh gateway over a real UDP CoAP
-// exchange, optionally through a chaotic link, and returns what the
-// detector produced.
-func replayThroughCoAP(t *testing.T, ctx *core.Context, evts []event.Event, cfg chaos.Config) (Stats, []Alert, coap.ServerStats, chaos.Stats) {
-	t.Helper()
-	gw, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := ServeCoAP(gw, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-
-	var agent *Agent
-	var link *chaos.Conn
-	if cfg.Enabled() {
-		inner, err := net.Dial("udp", front.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		link = chaos.WrapConn(inner, cfg)
-		agent = NewAgentConn(link)
-		agent.Client().AckTimeout = 20 * time.Millisecond
-		agent.Client().MaxRetransmit = 12
-		agent.Timeout = 60 * time.Second
-	} else {
-		agent, err = NewAgent(front.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, e := range evts {
-		if err := agent.Report(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := agent.Advance(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := agent.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var ls chaos.Stats
-	if link != nil {
-		ls = link.Stats()
-	}
-	return gw.Stats(), drainAlerts(gw), front.ServerStats(), ls
-}
-
-// TestGatewayChaosBitIdentical is the headline robustness property: with
-// >=10% datagram loss and duplication injected on the /report link, the
-// CoAP retransmission + server dedup must make the detector's output —
-// windows, violations, alerts — bit-identical to a lossless run.
-func TestGatewayChaosBitIdentical(t *testing.T) {
-	h, ctx := trainedHome(t)
-	evts := faultyAfternoon(t, h, 4)
-
-	cleanStats, cleanAlerts, _, _ := replayThroughCoAP(t, ctx, evts, chaos.Config{})
-	chaosStats, chaosAlerts, srvStats, linkStats := replayThroughCoAP(t, ctx, evts,
-		chaos.Config{Seed: 7, Drop: 0.12, Dup: 0.12})
-
-	if linkStats.Dropped == 0 || linkStats.Dups == 0 {
-		t.Fatalf("chaos link injected nothing: %+v", linkStats)
-	}
-	if srvStats.Deduped == 0 {
-		t.Error("server never deduplicated despite duplication on the link")
-	}
-	// The transport counters differ by construction; the detector-visible
-	// state must not.
-	if cleanStats != chaosStats {
-		t.Errorf("detector output diverged under chaos:\n clean: %+v\n chaos: %+v", cleanStats, chaosStats)
-	}
-	if cleanStats.Violations == 0 || cleanStats.Alerts == 0 {
-		t.Error("workload produced no fault signal; the comparison is vacuous")
-	}
-	if !reflect.DeepEqual(cleanAlerts, chaosAlerts) {
-		t.Errorf("alerts diverged under chaos:\n clean: %+v\n chaos: %+v", cleanAlerts, chaosAlerts)
 	}
 }
 
@@ -206,7 +121,7 @@ func TestGatewayCheckpointRestartResume(t *testing.T) {
 	}
 }
 
-// TestGatewayCheckpointJSONStable guards the on-disk schema: a checkpoint
+// TestGatewayCheckpointVersioned guards the on-disk schema: a checkpoint
 // must survive a JSON round trip and refuse a future version.
 func TestGatewayCheckpointVersioned(t *testing.T) {
 	_, ctx := trainedHome(t)
@@ -228,107 +143,62 @@ func TestGatewayCheckpointVersioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gw2.RestoreCheckpoint(&back); err == nil {
-		t.Error("future checkpoint version accepted")
+	if err := gw2.RestoreCheckpoint(&back); !errors.Is(err, ErrLegacyCheckpoint) {
+		t.Errorf("future checkpoint version: err = %v, want ErrLegacyCheckpoint", err)
 	}
 }
 
-// TestCheckpointV1Migration round-trips the legacy schema: a v1 file (the
-// pre-envelope format keyed "version":1, no "v", no tenancy) must load,
-// migrate to v2 in memory, restore cleanly, and produce the same stitched
-// run as an uninterrupted gateway.
-func TestCheckpointV1Migration(t *testing.T) {
-	h, ctx := trainedHome(t)
-	evts := faultyAfternoon(t, h, 4)
-
-	ref, err := New(ctx, WithConfig(core.Config{}))
+// TestCheckpointLegacyRejected: only the DICECKS1 envelope at
+// CheckpointVersion is read. A bare-JSON file and enveloped files at the
+// older schemas (v1 kept its version under "version"; v2 and v3 under
+// "v") fail with ErrLegacyCheckpoint, never ErrCorruptCheckpoint: a hub
+// cold-starts over the WAL on a corrupt checkpoint, and the WAL behind a
+// checkpoint has been truncated.
+func TestCheckpointLegacyRejected(t *testing.T) {
+	_, ctx := trainedHome(t)
+	gw, err := New(ctx, WithConfig(core.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range evts {
-		if err := ref.Ingest(e); err != nil {
+	payload, err := json.Marshal(gw.ExportCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabel := func(key, value string) []byte {
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(payload, &raw); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := ref.AdvanceTo(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	refStats, refAlerts := ref.Stats(), drainAlerts(ref)
-
-	cut := 2 * time.Hour
-	gw1, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := 0
-	for ; split < len(evts) && evts[split].At < cut; split++ {
-		if err := gw1.Ingest(evts[split]); err != nil {
+		delete(raw, "v")
+		raw[key] = json.RawMessage(value)
+		data, err := json.Marshal(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return sealCheckpoint(data)
 	}
-	alerts := drainAlerts(gw1)
-
-	// Rewrite the exported checkpoint as a v1 file: version under the
-	// legacy key, no envelope fields. This is byte-compatible with what a
-	// pre-v2 gateway persisted.
-	data, err := json.Marshal(gw1.ExportCheckpoint())
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"bare JSON": payload,
+		"v1":        relabel("version", "1"),
+		"v2":        relabel("v", "2"),
+		"v3":        relabel("v", "3"),
+		"v5":        relabel("v", "5"),
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
+	if _, err := DecodeCheckpoint(relabel("v", "4")); err != nil {
+		t.Fatalf("current version rejected: %v", err)
 	}
-	delete(raw, "v")
-	delete(raw, "home")
-	raw["version"] = json.RawMessage("1")
-	v1data, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	if err := os.WriteFile(path, v1data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.V != CheckpointVersion || cp.LegacyVersion != 0 {
-		t.Fatalf("v1 file did not migrate: v=%d legacy=%d", cp.V, cp.LegacyVersion)
-	}
-	gw2, err := New(ctx, WithConfig(core.Config{}), WithCheckpoint(cp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ; split < len(evts); split++ {
-		if err := gw2.Ingest(evts[split]); err != nil {
+	dir := t.TempDir()
+	for name, data := range cases {
+		if _, err := DecodeCheckpoint(data); !errors.Is(err, ErrLegacyCheckpoint) || errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%s: DecodeCheckpoint err = %v, want ErrLegacyCheckpoint", name, err)
+		}
+		path := filepath.Join(dir, "legacy.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := gw2.AdvanceTo(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	alerts = append(alerts, drainAlerts(gw2)...)
-	if got := gw2.Stats(); got != refStats {
-		t.Errorf("migrated run diverged:\n reference: %+v\n migrated: %+v", refStats, got)
-	}
-	if !reflect.DeepEqual(alerts, refAlerts) {
-		t.Errorf("alerts diverged across v1 migration:\n reference: %+v\n migrated: %+v", refAlerts, alerts)
-	}
-
-	// A v1 file claiming an unknown legacy version must be refused.
-	raw["version"] = json.RawMessage("9")
-	bad, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(path); err == nil {
-		t.Error("unknown legacy version accepted")
+		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrLegacyCheckpoint) || errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%s: ReadCheckpoint err = %v, want ErrLegacyCheckpoint", name, err)
+		}
 	}
 }
 
@@ -423,68 +293,5 @@ func TestGatewayLiveness(t *testing.T) {
 	}
 	if got := gw.Stats().LivenessAlerts; got != int64(len(seen))+1 {
 		t.Errorf("recovered device never re-alerted: %d alerts, want %d", got, len(seen)+1)
-	}
-}
-
-// TestReportIdempotence resends the exact /report datagram and requires the
-// gateway's counters to be unaffected: dedup must absorb the duplicate
-// before it reaches ingestion.
-func TestReportIdempotence(t *testing.T) {
-	h, ctx := trainedHome(t)
-	gw, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := ServeCoAP(gw, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-
-	start := 3 * 24 * 60
-	var batch []WireEvent
-	for _, e := range h.Events(start, start+5) {
-		e.At -= time.Duration(start) * time.Minute
-		batch = append(batch, WireEvent{AtMS: e.At.Milliseconds(), Device: int(e.Device), Value: e.Value})
-	}
-	if len(batch) == 0 {
-		t.Fatal("empty workload")
-	}
-	payload, err := json.Marshal(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &coap.Message{Type: coap.Confirmable, Code: coap.CodePOST, MessageID: 41, Token: []byte{3}, Payload: payload}
-	req.SetPath("report")
-	data, err := req.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	conn, err := net.Dial("udp", front.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	exchange := func() {
-		if _, err := conn.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		buf := make([]byte, 64*1024)
-		if _, err := conn.Read(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exchange()
-	if got := gw.Stats().Events; got != int64(len(batch)) {
-		t.Fatalf("first report ingested %d events, want %d", got, len(batch))
-	}
-	exchange() // byte-identical retransmission
-	if got := gw.Stats().Events; got != int64(len(batch)) {
-		t.Errorf("duplicate report double-ingested: %d events, want %d", got, len(batch))
-	}
-	if st := front.ServerStats(); st.Deduped != 1 {
-		t.Errorf("Deduped = %d, want 1", st.Deduped)
 	}
 }

@@ -2,16 +2,14 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
-	"repro/internal/coap"
 	"repro/internal/core"
 )
 
-// The trained context carries interval sketches, and both inspection
-// surfaces — ContextInfo and the CoAP /context resource — must say so.
+// The trained context carries interval sketches, and ContextInfo must say
+// so. The hub serves the same view over CoAP (TestHubCoAPContextResource).
 func TestGatewayContextInfoTiming(t *testing.T) {
 	_, ctx := trainedHome(t)
 	if !ctx.TimingCapable() {
@@ -27,21 +25,6 @@ func TestGatewayContextInfoTiming(t *testing.T) {
 	}
 	if !info.TimingCapable {
 		t.Error("TimingCapable = false for a sketch-carrying context")
-	}
-
-	f := &Front{gw: gw, malformed: gw.Telemetry().Counter(metricGwMalformed, "test")}
-	req := &coap.Message{Code: coap.CodeGET}
-	req.SetPath("context")
-	resp := f.handle(req)
-	if resp.Code != coap.CodeContent {
-		t.Fatalf("GET /context code = %v", resp.Code)
-	}
-	var got ContextInfo
-	if err := json.Unmarshal(resp.Payload, &got); err != nil {
-		t.Fatalf("GET /context payload: %v", err)
-	}
-	if got.ContextSchema != core.ContextSchemaV2 || !got.TimingCapable {
-		t.Errorf("GET /context = %+v, want schema %d and timing capable", got, core.ContextSchemaV2)
 	}
 }
 

@@ -461,8 +461,8 @@ func TestGatewayLivenessRebase(t *testing.T) {
 
 // TestCheckpointCorruptEnvelope: flipping one byte of an enveloped
 // checkpoint must surface ErrCorruptCheckpoint (so callers can fall back
-// to cold start + WAL replay), and pre-envelope plain-JSON files must
-// still read.
+// to cold start + WAL replay), and the bare JSON payload without the
+// envelope must fail with ErrLegacyCheckpoint instead.
 func TestCheckpointCorruptEnvelope(t *testing.T) {
 	_, ctx := trainedHome(t)
 	gw, err := New(ctx, WithConfig(core.Config{}))
@@ -494,12 +494,8 @@ func TestCheckpointCorruptEnvelope(t *testing.T) {
 	if err := os.WriteFile(path, data[12:], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("legacy plain-JSON checkpoint rejected: %v", err)
-	}
-	if cp.V != CheckpointVersion {
-		t.Errorf("legacy checkpoint migrated to v%d, want v%d", cp.V, CheckpointVersion)
+	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrLegacyCheckpoint) {
+		t.Errorf("plain-JSON checkpoint error = %v, want ErrLegacyCheckpoint", err)
 	}
 }
 

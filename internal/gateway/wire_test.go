@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -9,120 +8,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/wire"
 )
-
-// wireReplayResult captures everything detection-visible from one replay:
-// the counters, every emitted alert, and the last alert's Explain trace.
-type wireReplayResult struct {
-	Stats     Stats
-	Alerts    []Alert
-	LastAlert Alert
-	HasLast   bool
-	Malformed int64
-}
-
-// replayOverWire streams evts through a fresh gateway via a real CoAP
-// front + agent pair using the given wire format, then snapshots the
-// detection output.
-func replayOverWire(t *testing.T, ctx *core.Context, format WireFormat, evts []event.Event, end time.Duration) wireReplayResult {
-	t.Helper()
-	gw, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := ServeCoAP(gw, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-	agent, err := NewAgent(front.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Close()
-	agent.Format = format
-
-	for _, e := range evts {
-		if err := agent.Report(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := agent.Advance(end); err != nil {
-		t.Fatal(err)
-	}
-	res := wireReplayResult{Malformed: front.malformed.Value()}
-	st, err := agent.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Stats = st
-drain:
-	for {
-		select {
-		case a := <-gw.Alerts():
-			res.Alerts = append(res.Alerts, a)
-		default:
-			break drain
-		}
-	}
-	res.LastAlert, res.HasLast = gw.LastAlert()
-	return res
-}
-
-// TestWireFormatsBitIdentical replays the same faulty stream through a
-// JSON agent and a binary agent and requires identical detection output:
-// same counters, same alerts, same Explain trace. Event times are
-// ms-aligned first — the JSON wire quantizes At to milliseconds while the
-// binary wire carries nanoseconds, so alignment is what makes the two
-// encodings carry the same stream.
-func TestWireFormatsBitIdentical(t *testing.T) {
-	h, ctx := trainedHome(t)
-	target, ok := h.Registry().Lookup("light-kitchen")
-	if !ok {
-		t.Fatal("no kitchen light")
-	}
-	// Fail-stop the kitchen light mid-replay so the comparison covers a
-	// real detection episode, not just clean counters.
-	start := 3*24*60 + 12*60
-	raw := h.Events(start, start+6*60)
-	evts := make([]event.Event, 0, len(raw))
-	for _, e := range raw {
-		e.At -= time.Duration(start) * time.Minute
-		e.At = e.At.Truncate(time.Millisecond)
-		if e.Device == target && e.At >= 30*time.Minute {
-			continue
-		}
-		evts = append(evts, e)
-	}
-
-	jsonRes := replayOverWire(t, ctx, WireJSON, evts, 6*time.Hour)
-	binRes := replayOverWire(t, ctx, WireBinary, evts, 6*time.Hour)
-
-	if jsonRes.Malformed != 0 || binRes.Malformed != 0 {
-		t.Fatalf("malformed payloads on a clean link: json=%d binary=%d", jsonRes.Malformed, binRes.Malformed)
-	}
-	if jsonRes.Stats != binRes.Stats {
-		t.Errorf("stats diverged:\n json   %+v\n binary %+v", jsonRes.Stats, binRes.Stats)
-	}
-	if jsonRes.Stats.Alerts == 0 {
-		t.Error("replay produced no alerts; the comparison is vacuous")
-	}
-	if jsonRes.HasLast != binRes.HasLast {
-		t.Fatalf("last alert presence diverged: json=%v binary=%v", jsonRes.HasLast, binRes.HasLast)
-	}
-	mustJSON := func(v any) string {
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	if a, b := mustJSON(jsonRes.Alerts), mustJSON(binRes.Alerts); a != b {
-		t.Errorf("alerts diverged:\n json   %s\n binary %s", a, b)
-	}
-	if a, b := mustJSON(jsonRes.LastAlert), mustJSON(binRes.LastAlert); a != b {
-		t.Errorf("last alert (Explain) diverged:\n json   %s\n binary %s", a, b)
-	}
-}
 
 // TestIngestBatchZeroAllocSameWindow guards the pooled hot path: decoding
 // a binary batch into pooled scratch and ingesting it into the open window

@@ -15,7 +15,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The hub's CoAP surface is the gateway's, with the tenant in the path:
+// Wire format for device reports. Devices POST a batch of readings to
+// /report; the tenant's gateway windows them and runs DICE. A device may
+// also POST /advance to push stream time forward during silent stretches
+// (the simulated aggregators do this once per minute). The tenant is the
+// last path segment:
 //
 //	POST /report/{home}    batch of readings (binary DWB1 or JSON)
 //	POST /advance/{home}   stream-clock advance (binary DWB1 or JSON)
@@ -23,12 +27,18 @@ import (
 //	GET  /context/{home}   active context version, schema, timing capability
 //	GET  /liveness/{home}  tenant silence tracker
 //
-// The bare single-gateway paths (/report, /advance, ...) keep working when
-// the front has a default home, so an unmodified device agent can report
-// into a hub. Both encodings are negotiated by payload sniffing, exactly as
-// on the single-gateway front; binary batches ride the one-op
-// Hub.IngestBatch path. Error responses carry the same stable reason codes
-// as the gateway front (plus "unknown-home"), never internal error text.
+// The bare paths (/report, /advance, ...) reach the front's default home
+// when it has one (WithDefaultHome), so a single-home device agent reports
+// without naming a tenant; dice-gateway serves that way.
+//
+// Two encodings share the same resource paths, negotiated by sniffing the
+// payload's first bytes: the binary batch format of internal/wire (magic
+// "DWB1"), which rides the one-op Hub.IngestBatch path, and the legacy
+// JSON arrays of gateway.WireEvent ({"at": ms} for /advance). Error
+// responses carry stable short reason codes (gateway.Reason* plus
+// "unknown-home"), never internal error text: the detail stays on the hub
+// telemetry (dice_hub_malformed_total) rather than being echoed to an
+// unauthenticated UDP peer.
 
 // ReasonUnknownHome is the CodeNotFound reason for an unregistered tenant.
 const ReasonUnknownHome = "unknown-home"

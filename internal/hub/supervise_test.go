@@ -2,6 +2,7 @@ package hub
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -545,5 +546,47 @@ func TestHubCorruptCheckpointColdStart(t *testing.T) {
 	}
 	if cp.Stats.Events != n {
 		t.Errorf("rewritten checkpoint events = %d, want %d", cp.Stats.Events, n)
+	}
+}
+
+// TestHubLegacyCheckpointRefused: a checkpoint in a schema this build does
+// not read is not damage. Restore fails with gateway.ErrLegacyCheckpoint
+// instead of cold-starting, since a cold start would replay a WAL that was
+// truncated behind that checkpoint, and the file is left in place.
+func TestHubLegacyCheckpointRefused(t *testing.T) {
+	_, cctx := trained(t)
+	gw, err := gateway.New(cctx, tenantGwOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := gw.ExportCheckpoint()
+	cp.V, cp.Home = 3, "casa"
+	env, err := gateway.EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpDir := t.TempDir()
+	cpPath := filepath.Join(cpDir, "casa.ckpt")
+	if err := os.WriteFile(cpPath, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	hub, err := New(WithShards(1), WithCheckpointDir(cpDir), WithWALDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := hub.Register("casa", cctx, tenantGwOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.Restore(); !errors.Is(err, gateway.ErrLegacyCheckpoint) {
+		t.Errorf("restore over a v3 checkpoint: err = %v, want ErrLegacyCheckpoint", err)
+	}
+	if got := hub.met.corruptCkpts.Value(); got != 0 {
+		t.Errorf("corrupt checkpoints = %d, want 0", got)
+	}
+	hub.Close() //nolint:errcheck // the tenant never restored; Close reports it
+	if data, err := os.ReadFile(cpPath); err != nil || !bytes.Equal(data, env) {
+		t.Errorf("legacy checkpoint was replaced (err %v)", err)
 	}
 }
