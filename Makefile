@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test bench-smoke race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
-check: vet staticcheck build bench-smoke race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+check: vet staticcheck build bench-smoke race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
 
 vet:
 	$(GO) vet ./...
@@ -39,6 +39,12 @@ race:
 # these counters concurrently, so its race tests run first and by name.
 race-telemetry:
 	$(GO) test -race -count 2 ./internal/telemetry/
+
+# The CoAP server's read loop and worker pool share the dedup cache: the
+# workers write value-typed entries back into the map under the server
+# lock, so a dropped lock there fails this gate by name.
+race-coap:
+	$(GO) test -race -count 2 ./internal/coap/
 
 # The multi-tenant hub is the most concurrency-dense package (sharded
 # worker pool, live resize, eviction racing ingestion); gate it by name.

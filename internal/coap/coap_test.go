@@ -2,10 +2,12 @@ package coap
 
 import (
 	"bytes"
-	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -82,6 +84,10 @@ func TestLargeOptionNumbersAndValues(t *testing.T) {
 	// Options come back sorted by number.
 	if got.Options[0].Number != OptionURIPath || got.Options[1].Number != 2000 {
 		t.Errorf("option numbers: %d, %d", got.Options[0].Number, got.Options[1].Number)
+	}
+	// They were encoded from a sorted copy: the message keeps its order.
+	if m.Options[0].Number != 2000 {
+		t.Error("Marshal reordered the caller's options")
 	}
 	if !bytes.Equal(got.Options[1].Value, big) {
 		t.Error("large option value corrupted")
@@ -193,9 +199,8 @@ func TestClientServerExchange(t *testing.T) {
 
 	req := &Message{Code: CodePOST, Payload: []byte("hello")}
 	req.SetPath("report")
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := cli.Do(ctx, req)
+	deadline := time.Now().Add(5 * time.Second)
+	resp, err := cli.Do(deadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +217,7 @@ func TestClientServerExchange(t *testing.T) {
 	// Unknown path -> 4.04.
 	req2 := &Message{Code: CodeGET}
 	req2.SetPath("missing")
-	resp2, err := cli.Do(ctx, req2)
+	resp2, err := cli.Do(deadline, req2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +262,9 @@ func postReading(payload string) *Message {
 // process-wide, so it also carries the server's small per-request cost.
 func TestClientDoAllocatesLittlePerExchange(t *testing.T) {
 	cli := echoClient(t)
-	ctx := context.Background()
 	req := postReading(`{"at":123456,"v":21.5}`)
 	for i := 0; i < 20; i++ { // warm up sockets, timers and the dedup cache
-		if _, err := cli.Do(ctx, req); err != nil {
+		if _, err := cli.Do(time.Time{}, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +272,7 @@ func TestClientDoAllocatesLittlePerExchange(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < exchanges; i++ {
-		if _, err := cli.Do(ctx, req); err != nil {
+		if _, err := cli.Do(time.Time{}, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,11 +289,10 @@ func TestClientDoAllocatesLittlePerExchange(t *testing.T) {
 // back to back and with goroutines sharing one Client.
 func TestClientResponsesDoNotAliasReceiveBuffer(t *testing.T) {
 	cli := echoClient(t)
-	ctx := context.Background()
 
 	first := postReading("first")
 	first.Token = []byte{1, 1, 1, 1}
-	resp1, err := cli.Do(ctx, first)
+	resp1, err := cli.Do(time.Time{}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +302,7 @@ func TestClientResponsesDoNotAliasReceiveBuffer(t *testing.T) {
 	}
 	second := postReading("SECOND")
 	second.Token = []byte{2, 2, 2, 2}
-	resp2, err := cli.Do(ctx, second)
+	resp2, err := cli.Do(time.Time{}, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +329,7 @@ func TestClientResponsesDoNotAliasReceiveBuffer(t *testing.T) {
 			defer wg.Done()
 			var held []*Message
 			for r := 0; r < rounds; r++ {
-				resp, err := cli.Do(ctx, postReading(fmt.Sprintf("g%d-r%d", g, r)))
+				resp, err := cli.Do(time.Time{}, postReading(fmt.Sprintf("g%d-r%d", g, r)))
 				if err != nil {
 					errs <- err
 					return
@@ -348,8 +351,21 @@ func TestClientResponsesDoNotAliasReceiveBuffer(t *testing.T) {
 	}
 }
 
+// silentAddr binds a UDP socket that never answers, so an exchange with
+// it runs out its timers instead of failing at once on an ICMP
+// port-unreachable, as a closed port would.
+func silentAddr(t *testing.T) string {
+	t.Helper()
+	silent, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { silent.Close() })
+	return silent.LocalAddr().String()
+}
+
 func TestClientTimesOutWithoutServer(t *testing.T) {
-	cli, err := Dial("127.0.0.1:1") // nothing listens here
+	cli, err := Dial(silentAddr(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,30 +374,29 @@ func TestClientTimesOutWithoutServer(t *testing.T) {
 	cli.MaxRetransmit = 1
 
 	req := &Message{Code: CodePOST}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := cli.Do(ctx, req); err == nil {
-		t.Error("expected timeout error")
+	_, err = cli.Do(time.Now().Add(2*time.Second), req)
+	if err == nil || !strings.Contains(err.Error(), "no response after 2 attempts") {
+		t.Errorf("Do = %v, want the retransmission schedule to run out", err)
 	}
 }
 
-func TestClientHonorsContextCancellation(t *testing.T) {
-	cli, err := Dial("127.0.0.1:1")
+// TestClientHonorsDeadline talks to a peer that never answers: the
+// exchange deadline, not the 10s retransmission timeout, ends Do.
+func TestClientHonorsDeadline(t *testing.T) {
+	cli, err := Dial(silentAddr(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.AckTimeout = 10 * time.Second // would block forever without ctx
+	cli.AckTimeout = 10 * time.Second
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
 	start := time.Now()
-	_, err = cli.Do(ctx, &Message{Code: CodeGET})
-	if err == nil {
-		t.Fatal("expected error")
+	_, err = cli.Do(start.Add(50*time.Millisecond), &Message{Code: CodeGET})
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Do = %v, want os.ErrDeadlineExceeded", err)
 	}
 	if time.Since(start) > 2*time.Second {
-		t.Error("context deadline not honored")
+		t.Error("exchange deadline not honored")
 	}
 }
 
@@ -411,9 +426,8 @@ func TestServerSurvivesMalformedDatagram(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := cli.Do(ctx, &Message{Code: CodeGET})
+	deadline := time.Now().Add(5 * time.Second)
+	resp, err := cli.Do(deadline, &Message{Code: CodeGET})
 	if err != nil {
 		t.Fatalf("server died after malformed datagram: %v", err)
 	}
@@ -424,6 +438,53 @@ func TestServerSurvivesMalformedDatagram(t *testing.T) {
 
 func garbageConnWrite(c *Client, data []byte) (int, error) {
 	return c.conn.Write(data)
+}
+
+// TestMessageCodecAllocs pins the per-message cost of the codec: Marshal
+// of ascending options is one exact-size buffer, Unmarshal is the message,
+// one copy of the datagram and the option slice, Path is the joined string.
+func TestMessageCodecAllocs(t *testing.T) {
+	m := &Message{Type: Confirmable, Code: CodePOST, MessageID: 1, Token: []byte{1, 2, 3, 4}}
+	m.SetPath("report/home-07")
+	m.AddOption(OptionContentFormat, []byte{42})
+	m.Payload = []byte(`{"at":123456,"v":21.5}`)
+	data, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != cap(data) {
+		t.Errorf("Marshal buffer len %d cap %d, want an exact-size allocation", len(data), cap(data))
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Marshal() }); n != 1 { //nolint:errcheck
+		t.Errorf("Marshal: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Unmarshal(data) }); n > 3 { //nolint:errcheck
+		t.Errorf("Unmarshal: %v allocs, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Path() }); n != 1 {
+		t.Errorf("Path: %v allocs, want 1", n)
+	}
+}
+
+// TestUnmarshalFieldsDoNotOverlap appends to a decoded token and option
+// value: the field slices share one backing copy, so each must be capped
+// at its own length or the append would overwrite its neighbour.
+func TestUnmarshalFieldsDoNotOverlap(t *testing.T) {
+	m := &Message{Type: Confirmable, Code: CodePOST, Token: []byte{1, 2}, Payload: []byte("pay")}
+	m.SetPath("a/b")
+	data, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got.Token, 0xEE, 0xEE, 0xEE)
+	_ = append(got.Options[0].Value, 'X', 'X')
+	if got.Path() != "a/b" || string(got.Payload) != "pay" {
+		t.Errorf("appending to decoded fields corrupted the message: path %q payload %q", got.Path(), got.Payload)
+	}
 }
 
 func BenchmarkMarshal(b *testing.B) {
@@ -458,12 +519,11 @@ func BenchmarkUnmarshal(b *testing.B) {
 
 func BenchmarkClientDo(b *testing.B) {
 	cli := echoClient(b)
-	ctx := context.Background()
 	req := postReading(`{"at":123456,"v":21.5}`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.Do(ctx, req); err != nil {
+		if _, err := cli.Do(time.Time{}, req); err != nil {
 			b.Fatal(err)
 		}
 	}

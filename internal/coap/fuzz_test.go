@@ -1,12 +1,14 @@
 package coap
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
 
 // FuzzMessageUnmarshal throws arbitrary datagrams at the CoAP decoder. The
-// decoder must never panic, and any message it accepts must survive a
+// decoder must never panic, a message it accepts must not change when its
+// input is overwritten, and it must survive a
 // re-encode/re-decode cycle unchanged once normalized: Unmarshal(data) →
 // Marshal → Unmarshal must be a fixed point (option deltas can wrap the
 // 16-bit number space on hostile input, so the first decode is the
@@ -32,9 +34,18 @@ func FuzzMessageUnmarshal(f *testing.F) {
 	f.Add([]byte("DWB1 not coap at all, just bytes"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
+		in := bytes.Clone(data)
+		m, err := Unmarshal(in)
 		if err != nil {
 			return
+		}
+		// The decoded message must not alias its input: callers reuse
+		// their receive buffers as soon as Unmarshal returns.
+		for i := range in {
+			in[i] ^= 0xff
+		}
+		if fresh, err := Unmarshal(data); err != nil || !reflect.DeepEqual(m, fresh) {
+			t.Fatalf("decoded message changed when its input was overwritten:\n got %+v\nwant %+v (%v)", m, fresh, err)
 		}
 		enc, err := m.Marshal()
 		if err != nil {

@@ -6,9 +6,11 @@
 package coap
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Version is the only CoAP protocol version (RFC 7252 §3).
@@ -93,27 +95,41 @@ func (m *Message) AddOption(number uint16, value []byte) {
 	m.Options = append(m.Options, Option{Number: number, Value: value})
 }
 
-// Path joins the message's Uri-Path options with '/'.
+// Path joins the message's Uri-Path options with '/' in one allocation.
 func (m *Message) Path() string {
-	out := ""
+	n, segs := 0, 0
 	for _, o := range m.Options {
 		if o.Number == OptionURIPath {
-			if out != "" {
-				out += "/"
-			}
-			out += string(o.Value)
+			n += len(o.Value)
+			segs++
 		}
 	}
-	return out
+	if segs == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(n + segs - 1)
+	for _, o := range m.Options {
+		if o.Number == OptionURIPath {
+			if b.Len() > 0 {
+				b.WriteByte('/')
+			}
+			b.Write(o.Value)
+		}
+	}
+	return b.String()
 }
 
-// SetPath splits a '/'-separated path into Uri-Path options.
+// SetPath splits a '/'-separated path into Uri-Path options. The option
+// values share one copy of path, and Options grows at most once.
 func (m *Message) SetPath(path string) {
+	buf := []byte(path)
+	m.Options = slices.Grow(m.Options, strings.Count(path, "/")+1)
 	start := 0
-	for i := 0; i <= len(path); i++ {
-		if i == len(path) || path[i] == '/' {
+	for i := 0; i <= len(buf); i++ {
+		if i == len(buf) || buf[i] == '/' {
 			if i > start {
-				m.AddOption(OptionURIPath, []byte(path[start:i]))
+				m.AddOption(OptionURIPath, buf[start:i:i])
 			}
 			start = i + 1
 		}
@@ -123,29 +139,47 @@ func (m *Message) SetPath(path string) {
 // payloadMarker separates options from payload (RFC 7252 §3).
 const payloadMarker = 0xFF
 
-// Marshal encodes the message to its wire form.
+// Marshal encodes the message to its wire form in one exact-size
+// allocation. Options already in ascending number order, as SetPath and
+// Unmarshal leave them, are encoded in place; otherwise a sorted copy is.
 func (m *Message) Marshal() ([]byte, error) {
 	if len(m.Token) > 8 {
 		return nil, fmt.Errorf("coap: token longer than 8 bytes")
 	}
-	buf := make([]byte, 0, 16+len(m.Payload))
+	// Options must be encoded in ascending number order with deltas.
+	opts := m.Options
+	for i := 1; i < len(opts); i++ {
+		if opts[i].Number < opts[i-1].Number {
+			opts = slices.Clone(opts)
+			slices.SortStableFunc(opts, func(a, b Option) int { return cmp.Compare(a.Number, b.Number) })
+			break
+		}
+	}
+	size := 4 + len(m.Token)
+	prev := uint16(0)
+	for _, o := range opts {
+		_, _, dn := optNibble(uint32(o.Number - prev))
+		_, _, ln := optNibble(uint32(len(o.Value)))
+		size += 1 + dn + ln + len(o.Value)
+		prev = o.Number
+	}
+	if len(m.Payload) > 0 {
+		size += 1 + len(m.Payload)
+	}
+
+	buf := make([]byte, 0, size)
 	buf = append(buf, byte(Version<<6)|byte(m.Type)<<4|byte(len(m.Token)))
 	buf = append(buf, byte(m.Code))
 	buf = binary.BigEndian.AppendUint16(buf, m.MessageID)
 	buf = append(buf, m.Token...)
-
-	// Options must be encoded in ascending number order with deltas.
-	opts := append([]Option(nil), m.Options...)
-	sort.SliceStable(opts, func(i, j int) bool { return opts[i].Number < opts[j].Number })
-	prev := uint16(0)
+	prev = 0
 	for _, o := range opts {
-		delta := o.Number - prev
+		db, dx, dn := optNibble(uint32(o.Number - prev))
+		lb, lx, ln := optNibble(uint32(len(o.Value)))
 		prev = o.Number
-		db, dx := optNibble(uint32(delta))
-		lb, lx := optNibble(uint32(len(o.Value)))
 		buf = append(buf, db<<4|lb)
-		buf = append(buf, dx...)
-		buf = append(buf, lx...)
+		buf = append(buf, dx[:dn]...)
+		buf = append(buf, lx[:ln]...)
 		buf = append(buf, o.Value...)
 	}
 	if len(m.Payload) > 0 {
@@ -155,23 +189,25 @@ func (m *Message) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// optNibble encodes an option delta/length into its nibble and extension
-// bytes (RFC 7252 §3.1).
-func optNibble(v uint32) (byte, []byte) {
+// optNibble encodes an option delta/length into its nibble and the n
+// leading bytes of ext (RFC 7252 §3.1).
+func optNibble(v uint32) (nib byte, ext [2]byte, n int) {
 	switch {
 	case v < 13:
-		return byte(v), nil
+		return byte(v), ext, 0
 	case v < 269:
-		return 13, []byte{byte(v - 13)}
+		ext[0] = byte(v - 13)
+		return 13, ext, 1
 	default:
-		ext := make([]byte, 2)
-		binary.BigEndian.PutUint16(ext, uint16(v-269))
-		return 14, ext
+		binary.BigEndian.PutUint16(ext[:], uint16(v-269))
+		return 14, ext, 2
 	}
 }
 
-// Unmarshal decodes a wire-form message. The result copies everything it
-// keeps out of data, so callers may reuse data as soon as it returns.
+// Unmarshal decodes a wire-form message. It copies data once; the token,
+// option values and payload are capacity-capped slices of that copy, so the
+// result never aliases data (callers reuse their receive buffers as soon as
+// it returns) and appending to one field cannot overwrite another.
 func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("coap: message shorter than header (%d bytes)", len(data))
@@ -188,45 +224,55 @@ func Unmarshal(data []byte) (*Message, error) {
 		Code:      Code(data[1]),
 		MessageID: binary.BigEndian.Uint16(data[2:4]),
 	}
-	pos := 4
-	if len(data) < pos+tkl {
+	if len(data) < 4+tkl {
 		return nil, fmt.Errorf("coap: truncated token")
 	}
-	m.Token = append([]byte(nil), data[pos:pos+tkl]...)
-	pos += tkl
+	if len(data) == 4 {
+		return m, nil
+	}
+	b := append([]byte(nil), data[4:]...)
+	if tkl > 0 {
+		m.Token = b[:tkl:tkl]
+	}
+	pos := tkl
 
+	// Options accumulate in a stack buffer, then move to an exact-size
+	// slice, so a request with a few options costs one allocation for them.
+	var stack [8]Option
+	opts := stack[:0]
 	prev := uint16(0)
-	for pos < len(data) {
-		if data[pos] == payloadMarker {
+	for pos < len(b) {
+		if b[pos] == payloadMarker {
 			pos++
-			if pos == len(data) {
+			if pos == len(b) {
 				return nil, fmt.Errorf("coap: payload marker with empty payload")
 			}
-			m.Payload = append([]byte(nil), data[pos:]...)
-			return m, nil
+			m.Payload = b[pos:len(b):len(b)]
+			break
 		}
-		db := data[pos] >> 4
-		lb := data[pos] & 0x0f
+		db := b[pos] >> 4
+		lb := b[pos] & 0x0f
 		pos++
-		delta, n, err := optValue(db, data[pos:])
+		delta, n, err := optValue(db, b[pos:])
 		if err != nil {
 			return nil, err
 		}
 		pos += n
-		length, n, err := optValue(lb, data[pos:])
+		length, n, err := optValue(lb, b[pos:])
 		if err != nil {
 			return nil, err
 		}
 		pos += n
-		if len(data) < pos+int(length) {
+		if len(b) < pos+int(length) {
 			return nil, fmt.Errorf("coap: truncated option value")
 		}
 		prev += uint16(delta)
-		m.Options = append(m.Options, Option{
-			Number: prev,
-			Value:  append([]byte(nil), data[pos:pos+int(length)]...),
-		})
-		pos += int(length)
+		end := pos + int(length)
+		opts = append(opts, Option{Number: prev, Value: b[pos:end:end]})
+		pos = end
+	}
+	if len(opts) > 0 {
+		m.Options = slices.Clone(opts)
 	}
 	return m, nil
 }

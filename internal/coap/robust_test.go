@@ -2,7 +2,6 @@ package coap
 
 import (
 	"bytes"
-	"context"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -144,9 +143,8 @@ func TestClientRetransmitOverChaoticLinkExactlyOnce(t *testing.T) {
 	for i := 0; i < exchanges; i++ {
 		req := &Message{Code: CodePOST, Payload: []byte{byte(i)}}
 		req.SetPath("report")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		resp, err := cli.Do(ctx, req)
-		cancel()
+		deadline := time.Now().Add(30 * time.Second)
+		resp, err := cli.Do(deadline, req)
 		if err != nil {
 			t.Fatalf("exchange %d failed: %v", i, err)
 		}
@@ -183,9 +181,8 @@ func TestClientMessageIDsMonotonic(t *testing.T) {
 	}
 	defer cli.Close()
 	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, err := cli.Do(ctx, &Message{Code: CodeGET})
-		cancel()
+		deadline := time.Now().Add(5 * time.Second)
+		_, err := cli.Do(deadline, &Message{Code: CodeGET})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,5 +306,98 @@ func TestDedupExportRestoreRoundTrip(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(&calls); got != 1 {
 		t.Errorf("handler ran %d times across the restart, want once", got)
+	}
+
+	// Exchanges from IPv6, zoned IPv6 and IPv4 peers round-trip too. The
+	// peer text survives unchanged, an IPv4-mapped source hits the entry of
+	// its plain IPv4 form, and peers that differ only by zone keep separate
+	// entries.
+	t.Run("address forms", func(t *testing.T) {
+		srv, err := ListenAndServe("127.0.0.1:0", func(req *Message) *Message { return &Message{Code: CodeChanged} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ack := &Message{Type: Acknowledgement, Code: CodeChanged, MessageID: 42, Token: []byte{7, 7}}
+		resp, err := ack.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := []string{"[::1]:5683", "[fe80::1%eth0]:5683", "[fe80::1%eth1]:5683", "192.0.2.7:5683"}
+		var in []DedupEntry
+		for _, p := range peers {
+			in = append(in, DedupEntry{Peer: p, MessageID: 42, Response: resp, AgeMS: 10})
+		}
+		srv.RestoreDedup(in)
+		out := srv.ExportDedup()
+		if len(out) != len(peers) {
+			t.Fatalf("exported %d entries, want %d (zones must not share an entry)", len(out), len(peers))
+		}
+		for i, en := range out {
+			if en.Peer != peers[i] || en.MessageID != 42 || !bytes.Equal(en.Response, resp) {
+				t.Errorf("entry %d = %+v, want peer %s", i, en, peers[i])
+			}
+		}
+
+		mapped := &net.UDPAddr{IP: net.ParseIP("::ffff:192.0.2.7"), Port: 5683}
+		ap, ok := peerAddrPort(mapped)
+		if !ok {
+			t.Fatal("IPv4-mapped peer did not parse")
+		}
+		srv.mu.Lock()
+		_, hit := srv.dedup[srv.keyLocked(ap, 42, ack.Token)]
+		srv.mu.Unlock()
+		if !hit {
+			t.Error("IPv4-mapped peer missed the entry restored for its IPv4 form")
+		}
+	})
+}
+
+// TestDedupKeyAllocFree pins the dedup key: built from a *net.UDPAddr it
+// formats no string and allocates nothing.
+func TestDedupKeyAllocFree(t *testing.T) {
+	s := &Server{}
+	tok := []byte{1, 2, 3, 4}
+	for _, peer := range []*net.UDPAddr{
+		{IP: net.IPv4(127, 0, 0, 1), Port: 5683},
+		{IP: net.ParseIP("2001:db8::1"), Port: 5683},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			ap, _ := peerAddrPort(peer)
+			s.mu.Lock()
+			s.keyLocked(ap, 7, tok)
+			s.mu.Unlock()
+		})
+		if n != 0 {
+			t.Errorf("key for %v: %v allocs, want 0", peer, n)
+		}
+	}
+}
+
+// TestClientMessageIDWrap runs one client past the 16-bit Message ID space
+// inside ExchangeLifetime. A reused Message ID with a fresh token is a new
+// exchange, not a retransmission: every request reaches the handler and
+// none is answered from the cache.
+func TestClientMessageIDWrap(t *testing.T) {
+	srv, err := ListenAndServe("127.0.0.1:0", func(req *Message) *Message { return &Message{Code: CodeChanged} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	cli.AckTimeout = 250 * time.Millisecond
+
+	const exchanges = 70000
+	for i := 0; i < exchanges; i++ {
+		if _, err := cli.Do(time.Time{}, &Message{Code: CodePOST}); err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+	}
+	if st := srv.Stats(); st.Handled != exchanges {
+		t.Errorf("Handled = %d, want %d (stats %+v)", st.Handled, exchanges, st)
 	}
 }

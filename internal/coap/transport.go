@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,11 +104,20 @@ func newSrvMetrics(reg *telemetry.Registry) srvMetrics {
 	}
 }
 
-// dedupKey identifies one exchange per RFC 7252 §4.5: the source endpoint
-// plus the Message ID.
+// dedupKey identifies one exchange: the source endpoint plus the Message
+// ID (RFC 7252 §4.5), plus the request token. The 16-bit Message ID wraps
+// after 65,536 exchanges, which a busy client reaches well inside
+// ExchangeLifetime; a retransmission repeats its token byte for byte, while
+// a new exchange that reuses a Message ID carries a fresh one. The key is
+// fixed-size and pointer-free, so building it formats nothing and the
+// garbage collector never scans the cache's keys.
 type dedupKey struct {
-	peer string
+	addr [16]byte // IPv4 peers in their IPv4-mapped form
+	port uint16
+	zone uint16 // 1 + index into Server.zones; 0 for no zone
 	mid  uint16
+	tkl  uint8
+	tok  [8]byte
 }
 
 // exchange is one dedup-cache entry. resp stays nil while the handler is
@@ -113,7 +125,7 @@ type dedupKey struct {
 // absorbed (the sender's next retransmission finds the cached response).
 type exchange struct {
 	resp []byte
-	born time.Time
+	born time.Duration // since Server.epoch
 }
 
 type job struct {
@@ -134,10 +146,13 @@ type Server struct {
 	queue   chan job
 	done    chan struct{} // closed by Close, releases the context watcher
 
-	mu     sync.Mutex // guards closed, dedup, order
+	epoch time.Time // monotonic origin of exchange.born
+
+	mu     sync.Mutex // guards closed, dedup, order, zones
 	closed bool
-	dedup  map[dedupKey]*exchange
+	dedup  map[dedupKey]exchange
 	order  []dedupKey // insertion order, for expiry
+	zones  []string   // IPv6 zones seen, interned for dedupKey.zone
 
 	met srvMetrics
 
@@ -237,7 +252,8 @@ func ServeContext(ctx context.Context, conn net.PacketConn, handler Handler, opt
 		cfg:     cfg,
 		queue:   make(chan job, cfg.QueueDepth),
 		done:    make(chan struct{}),
-		dedup:   make(map[dedupKey]*exchange),
+		epoch:   time.Now(),
+		dedup:   make(map[dedupKey]exchange),
 		met:     newSrvMetrics(o.tel),
 	}
 	s.workerWG.Add(cfg.Workers)
@@ -307,11 +323,17 @@ func (s *Server) serve() {
 		if req.Type != Confirmable && req.Type != NonConfirmable {
 			continue // we never originate requests, so ACK/RST are stray
 		}
-		key := dedupKey{peer: peer.String(), mid: req.MessageID}
+		ap, ok := peerAddrPort(peer)
+		if !ok {
+			s.met.malformed.Inc()
+			continue // not an IP peer: nothing to key its exchanges by
+		}
 
 		s.met.received.Inc()
+		now := time.Since(s.epoch)
 		s.mu.Lock()
-		s.purgeLocked(time.Now())
+		s.purgeLocked(now)
+		key := s.keyLocked(ap, req.MessageID, req.Token)
 		if e, ok := s.dedup[key]; ok {
 			// RFC 7252 §4.5: a retransmitted exchange must not reach the
 			// handler again. Replay the cached piggybacked ACK for a
@@ -325,7 +347,7 @@ func (s *Server) serve() {
 			}
 			continue
 		}
-		s.dedup[key] = &exchange{born: time.Now()}
+		s.dedup[key] = exchange{born: now}
 		s.order = append(s.order, key)
 		s.mu.Unlock()
 
@@ -345,12 +367,14 @@ func (s *Server) serve() {
 
 // purgeLocked expires exchanges older than ExchangeLifetime. Entries are
 // appended to order at birth, so the prefix is oldest-first; a key whose
-// map entry is missing was shed by the queue-full path.
-func (s *Server) purgeLocked(now time.Time) {
+// map entry is missing was shed by the queue-full path. Dropping the prefix
+// reslices instead of copying: append reclaims the dead head the next time
+// order outgrows its array.
+func (s *Server) purgeLocked(now time.Duration) {
 	cut := 0
 	for _, key := range s.order {
 		e, ok := s.dedup[key]
-		if ok && now.Sub(e.born) < s.cfg.ExchangeLifetime {
+		if ok && now-e.born < s.cfg.ExchangeLifetime {
 			break
 		}
 		if ok {
@@ -358,9 +382,46 @@ func (s *Server) purgeLocked(now time.Time) {
 		}
 		cut++
 	}
-	if cut > 0 {
-		s.order = append(s.order[:0], s.order[cut:]...)
+	s.order = s.order[cut:]
+}
+
+// peerAddrPort reads a request's source endpoint. A *net.UDPAddr, what
+// every UDP conn returns, converts without formatting a string.
+func peerAddrPort(peer net.Addr) (netip.AddrPort, bool) {
+	if ua, ok := peer.(*net.UDPAddr); ok {
+		ap := ua.AddrPort()
+		return ap, ap.IsValid()
 	}
+	ap, err := netip.ParseAddrPort(peer.String())
+	return ap, err == nil
+}
+
+// keyLocked builds the dedup key of one exchange. IPv4 and IPv4-mapped
+// IPv6 forms of a peer give the same key; peers that differ only by IPv6
+// zone do not. The zone table grows by at most one entry per network
+// interface the host receives link-local traffic on.
+func (s *Server) keyLocked(ap netip.AddrPort, mid uint16, token []byte) dedupKey {
+	k := dedupKey{addr: ap.Addr().As16(), port: ap.Port(), mid: mid, tkl: uint8(len(token))}
+	copy(k.tok[:], token)
+	if zone := ap.Addr().Zone(); zone != "" {
+		i := slices.Index(s.zones, zone)
+		if i < 0 {
+			i = len(s.zones)
+			s.zones = append(s.zones, zone)
+		}
+		k.zone = uint16(i + 1)
+	}
+	return k
+}
+
+// peerLocked renders a key's endpoint as *net.UDPAddr.String does, the
+// textual form DedupEntry.Peer has always carried.
+func (s *Server) peerLocked(k dedupKey) string {
+	a := netip.AddrFrom16(k.addr).Unmap()
+	if k.zone > 0 {
+		a = a.WithZone(s.zones[k.zone-1])
+	}
+	return netip.AddrPortFrom(a, k.port).String()
 }
 
 func (s *Server) worker() {
@@ -386,6 +447,7 @@ func (s *Server) worker() {
 		if err == nil {
 			if e, ok := s.dedup[jb.key]; ok {
 				e.resp = data
+				s.dedup[jb.key] = e
 			}
 		}
 		s.mu.Unlock()
@@ -411,7 +473,7 @@ type DedupEntry struct {
 // their effects are not yet in any checkpointed state, so replaying them
 // after a restart is exactly once, not twice.
 func (s *Server) ExportDedup() []DedupEntry {
-	now := time.Now()
+	now := time.Since(s.epoch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []DedupEntry
@@ -421,19 +483,21 @@ func (s *Server) ExportDedup() []DedupEntry {
 			continue
 		}
 		out = append(out, DedupEntry{
-			Peer:      key.peer,
+			Peer:      s.peerLocked(key),
 			MessageID: key.mid,
 			Response:  e.resp,
-			AgeMS:     now.Sub(e.born).Milliseconds(),
+			AgeMS:     (now - e.born).Milliseconds(),
 		})
 	}
 	return out
 }
 
 // RestoreDedup seeds the dedup cache from a checkpoint. Entries whose
-// remaining lifetime has already elapsed are skipped.
+// remaining lifetime has already elapsed are skipped, as are entries whose
+// peer does not parse or whose response is too short to carry the token
+// the key needs (a response echoes its request's token).
 func (s *Server) RestoreDedup(entries []DedupEntry) {
-	now := time.Now()
+	now := time.Since(s.epoch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, en := range entries {
@@ -441,11 +505,19 @@ func (s *Server) RestoreDedup(entries []DedupEntry) {
 		if age >= s.cfg.ExchangeLifetime {
 			continue
 		}
-		key := dedupKey{peer: en.Peer, mid: en.MessageID}
+		ap, err := netip.ParseAddrPort(en.Peer)
+		if err != nil || len(en.Response) < 4 {
+			continue
+		}
+		tkl := int(en.Response[0] & 0x0f)
+		if tkl > 8 || len(en.Response) < 4+tkl {
+			continue
+		}
+		key := s.keyLocked(ap, en.MessageID, en.Response[4:4+tkl])
 		if _, ok := s.dedup[key]; ok {
 			continue
 		}
-		s.dedup[key] = &exchange{resp: en.Response, born: now.Add(-age)}
+		s.dedup[key] = exchange{resp: en.Response, born: now - age}
 		s.order = append(s.order, key)
 	}
 }
@@ -463,9 +535,9 @@ type Client struct {
 	// buf receives every datagram of every exchange. It is allocated once
 	// and reused: zeroing 64 KiB per exchange would make garbage collection
 	// a large share of a busy client's CPU. Reuse is safe because Unmarshal
-	// copies the token, options and payload out of the datagram, so a
-	// returned *Message never aliases buf and the next exchange can
-	// overwrite it. Keep that copy if Unmarshal is ever optimised.
+	// decodes from its own copy of the datagram, so a returned *Message
+	// never aliases buf and the next exchange can overwrite it
+	// (FuzzMessageUnmarshal checks that property).
 	buf []byte
 
 	// nextMID is the Message ID of the next exchange. RFC 7252 §4.4: a
@@ -512,9 +584,11 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // Do sends a confirmable request and waits for the matching response,
-// retransmitting with exponential backoff per RFC 7252 §4.2. The context
-// bounds the whole exchange.
-func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
+// retransmitting with exponential backoff per RFC 7252 §4.2. A non-zero
+// deadline bounds the whole exchange: past it Do fails with an error
+// wrapping os.ErrDeadlineExceeded. A zero deadline leaves only the
+// retransmission schedule as the bound.
+func (c *Client) Do(deadline time.Time, req *Message) (*Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -533,17 +607,18 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 
 	timeout := c.AckTimeout
 	for attempt := 0; attempt <= c.MaxRetransmit; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		now := time.Now()
+		if !deadline.IsZero() && !now.Before(deadline) {
+			return nil, fmt.Errorf("coap: exchange deadline passed: %w", os.ErrDeadlineExceeded)
 		}
 		if _, err := c.conn.Write(data); err != nil {
 			return nil, fmt.Errorf("coap: send: %w", err)
 		}
-		deadline := time.Now().Add(timeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
+		until := now.Add(timeout)
+		if !deadline.IsZero() && deadline.Before(until) {
+			until = deadline
 		}
-		if err := c.conn.SetReadDeadline(deadline); err != nil {
+		if err := c.conn.SetReadDeadline(until); err != nil {
 			return nil, err
 		}
 		for {

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -218,9 +217,7 @@ func (a *Agent) do(req *coap.Message) (*coap.Message, error) {
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		resp, err := a.cli.Do(ctx, req)
-		cancel()
+		resp, err := a.cli.Do(time.Now().Add(timeout), req)
 		if err == nil {
 			return resp, nil
 		}

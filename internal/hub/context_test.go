@@ -1,7 +1,6 @@
 package hub
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -38,9 +37,8 @@ func TestHubCoAPContextResource(t *testing.T) {
 		t.Helper()
 		req := &coap.Message{Code: coap.CodeGET}
 		req.SetPath(path)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		resp, err := cl.Do(ctx, req)
+		deadline := time.Now().Add(5 * time.Second)
+		resp, err := cl.Do(deadline, req)
 		if err != nil {
 			t.Fatal(err)
 		}

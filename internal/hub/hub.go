@@ -300,8 +300,9 @@ func WithQueueDepth(n int) Option {
 }
 
 // WithAlertBuffer sets the hub alert channel capacity (default 256). A
-// full buffer drops tenant alerts (counted) rather than blocking the
-// per-tenant forwarders.
+// full buffer blocks the per-tenant forwarders until the consumer catches
+// up; alerts are dropped (counted) only when a forwarder stops with the
+// buffer still full.
 func WithAlertBuffer(n int) Option {
 	return func(o *options) { o.alertBuf = n }
 }
@@ -580,7 +581,10 @@ func (h *Hub) Register(home string, cctx *core.Context, opts ...gateway.Option) 
 
 // forward pumps one gateway's alert channel into the hub channel, tagging
 // each alert with the home. Per-tenant order is preserved (one forwarder,
-// FIFO channels); cross-tenant interleaving is scheduling-dependent. The
+// FIFO channels); cross-tenant interleaving is scheduling-dependent. A full
+// hub channel blocks the forwarder rather than dropping alerts, so a slow
+// consumer pushes back on the gateway's own buffer; only the flush on stop
+// is non-blocking, dropping (and counting) what no consumer takes. The
 // gateway and channels are parameters, not read from the tenant, because a
 // supervised restart swaps all three: the old forwarder flushes the old
 // pipe and exits, the new one binds to the rebuilt gateway. Alert delivery
@@ -588,7 +592,7 @@ func (h *Hub) Register(home string, cctx *core.Context, opts ...gateway.Option) 
 // newer than the last checkpoint.
 func (h *Hub) forward(t *tenant, gw *gateway.Gateway, stop, fwdDone chan struct{}) {
 	defer close(fwdDone)
-	deliver := func(a gateway.Alert) {
+	flush := func(a gateway.Alert) {
 		select {
 		case h.alerts <- TenantAlert{Home: t.home, Alert: a}:
 		default:
@@ -601,13 +605,17 @@ func (h *Hub) forward(t *tenant, gw *gateway.Gateway, stop, fwdDone chan struct{
 			for {
 				select {
 				case a := <-gw.Alerts():
-					deliver(a)
+					flush(a)
 				default:
 					return
 				}
 			}
 		case a := <-gw.Alerts():
-			deliver(a)
+			select {
+			case h.alerts <- TenantAlert{Home: t.home, Alert: a}:
+			case <-stop:
+				flush(a)
+			}
 		}
 	}
 }

@@ -233,6 +233,45 @@ func TestHubBitIdenticalToSolo(t *testing.T) {
 	}
 }
 
+// TestHubSlowConsumerLosesNoAlerts holds the hub's alert channel to one
+// slot and reads nothing until the whole replay is in. The forwarder must
+// wait for the consumer instead of dropping, so every alert of the home
+// arrives, in the solo run's order, and the drop counter stays at zero.
+func TestHubSlowConsumerLosesNoAlerts(t *testing.T) {
+	h, cctx := trained(t)
+	stream := homeStream(t, h, 1)
+	_, want := soloRun(t, cctx, stream)
+	if len(want) < 2 || len(want) > 64 {
+		t.Fatalf("reference home raised %d alerts, want 2..64 to overflow a 1-slot buffer without overflowing the gateway's", len(want))
+	}
+	hub, err := New(WithShards(1), WithAlertBuffer(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if _, err := hub.Register("home-a", cctx, tenantGwOpts...); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range stream {
+		if err := hub.Ingest("home-a", e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hub.Advance("home-a", streamEnd); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	got := collectAlerts(t, hub, len(want))["home-a"]
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("alert sequence diverged: got %d alerts, want %d", len(got), len(want))
+	}
+	if n := hub.Telemetry().SnapshotMap()[metricHubAlertsDropped]; n != 0 {
+		t.Errorf("%s = %v, want 0", metricHubAlertsDropped, n)
+	}
+}
+
 // TestHubEvictResumeFromCheckpoint replays one home in two halves with an
 // eviction in between: the final state must match an uninterrupted solo
 // run, proving the final checkpoint on Evict and the lazy restore on the
