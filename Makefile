@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check fmt vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
-check: vet staticcheck build bench-smoke race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+check: fmt vet staticcheck build bench-smoke race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+
+# gofmt covers the whole tree, the nested perfbench module included.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -92,36 +96,36 @@ bench-eval:
 # Multi-home hub throughput (binary batch path vs JSON baseline)
 # → BENCH_hub.json.
 bench-hub:
-	$(GO) run ./cmd/dice-eval -exp hub
+	$(GO) run ./cmd/dice-eval -exp hub -hubjson BENCH_hub.json
 
 # WAL fsync pricing + crash-recovery timing → BENCH_recovery.json.
 bench-recovery:
-	$(GO) run ./cmd/dice-eval -exp recovery
+	$(GO) run ./cmd/dice-eval -exp recovery -recoveryjson BENCH_recovery.json
 
 # Federated cluster drill: migration + node-kill fail-over latency and
 # cluster-vs-solo efficiency → BENCH_cluster.json.
 bench-cluster:
-	$(GO) run ./cmd/dice-eval -exp cluster
+	$(GO) run ./cmd/dice-eval -exp cluster -clusterjson BENCH_cluster.json
 
 # Online-adaptation drill: static vs adaptive detector on a drifted stream,
 # plus post-adaptation fault injection → BENCH_drift.json. The run itself
 # errors when the adaptive arm misses a fault or fails to beat the static
 # arm's false alarms.
 bench-drift:
-	$(GO) run ./cmd/dice-eval -exp drift
+	$(GO) run ./cmd/dice-eval -exp drift -driftjson BENCH_drift.json
 
 # Timing-check drill: structural-only vs timing-aware arms on stream-stretch
 # faults → BENCH_timing.json. The run itself errors when the timing arm
 # catches <80% of the structurally missed faults or flags any clean window.
 bench-timing:
-	$(GO) run ./cmd/dice-eval -exp timing
+	$(GO) run ./cmd/dice-eval -exp timing -timingjson BENCH_timing.json
 
 # Adversarial scenario library: per-scenario detection/identification
 # precision-recall + benign false-alarm floor → BENCH_scenarios.json. The
 # run itself errors on any clean/benign false alarm or when 2-fault storms
 # name every injected device in <80% of trials.
 bench-scenarios:
-	$(GO) run ./cmd/dice-eval -exp scenarios
+	$(GO) run ./cmd/dice-eval -exp scenarios -scenariosjson BENCH_scenarios.json
 
 # Short fuzz passes over the wire decoders (binary batch + CoAP), the
 # interval-sketch codec, the WAL segment reader, and the checkpoint and

@@ -19,40 +19,42 @@
 // the evaluation worker pool (0 = GOMAXPROCS); results are bit-identical at
 // any worker count. `-benchjson` writes wall-clock and per-stage timings plus
 // a telemetry snapshot (the same dice_* series a live gateway serves on
-// /metrics) to a JSON file (default BENCH_eval.json; empty disables) so the
-// performance trajectory is tracked across changes.
+// /metrics) to a JSON file so the performance trajectory is tracked across
+// changes. Every -*json flag is off by default, so a plain run never
+// overwrites the committed BENCH_*.json baselines; the Makefile's bench-*
+// targets name their file explicitly.
 //
 // `-exp hub` benchmarks the multi-tenant hub instead: M homes replay
 // concurrent streams through one sharded hub, and the throughput plus
-// per-shard queue tallies land in BENCH_hub.json (`-hubjson`).
+// per-shard queue tallies land in `-hubjson` (BENCH_hub.json).
 //
 // `-exp recovery` prices the write-ahead log (ingest throughput per fsync
 // policy against a no-WAL baseline) and times a simulated crash recovery
 // from checkpoint + WAL tail, verifying the recovered state is
-// bit-identical; the numbers land in BENCH_recovery.json
-// (`-recoveryjson`).
+// bit-identical; the numbers land in `-recoveryjson`
+// (BENCH_recovery.json).
 //
 // `-exp cluster` benchmarks the federated hub cluster: N in-process nodes
 // share a durable state tree, M homes stream DWB1 batches over HTTP, and
 // mid-replay the bench live-migrates one tenant and kills one node. It
 // reports federation efficiency (cluster vs solo throughput), migration
 // and fail-over latency, and the bit-identity verdict; the numbers land in
-// BENCH_cluster.json (`-clusterjson`).
+// `-clusterjson` (BENCH_cluster.json).
 //
 // `-exp drift` benchmarks online context adaptation: a context trained on
 // the original routine replays a drifted stream (the residents adopt
 // `-drift-extra` new activities) through a static detector and an
 // adapter-backed one, then injects sensor faults after the adaptation
 // window. The adaptive arm must cut the static arm's false alarms without
-// missing a single injected fault; the numbers land in BENCH_drift.json
-// (`-driftjson`).
+// missing a single injected fault; the numbers land in `-driftjson`
+// (BENCH_drift.json).
 //
 // `-exp timing` benchmarks the time-aware transition checks: timing faults
 // (delayed actuators, slowly degrading sensors) that are structurally
 // invisible are replayed through a structural-only detector and a
 // timing-aware one. The timing arm must catch at least 80% of what the
 // structural arm misses while flagging zero clean windows; the numbers land
-// in BENCH_timing.json (`-timingjson`).
+// in `-timingjson` (BENCH_timing.json).
 //
 // `-exp scenarios` grades the multi-fault detector on the adversarial
 // scenario library: spoofed ghost devices, replay attacks, malicious
@@ -61,7 +63,7 @@
 // Floors: zero alerts on the benign scenarios, and the two-fault storm's
 // alerts must name every injected device in >= 80% of trials. Per-scenario
 // detection and identification precision/recall land in
-// BENCH_scenarios.json (`-scenariosjson`).
+// `-scenariosjson` (BENCH_scenarios.json).
 package main
 
 import (
@@ -93,27 +95,27 @@ func run() error {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS); results are identical at any count")
-	benchJSON := flag.String("benchjson", "BENCH_eval.json", "write wall-clock/per-stage timings to this JSON file (empty = off)")
+	benchJSON := flag.String("benchjson", "", "write wall-clock/per-stage timings to this JSON file (empty = off)")
 	hubHomes := flag.Int("hub-homes", 8, "concurrent homes for -exp hub")
 	hubShards := flag.Int("hub-shards", 4, "hub worker pool size for -exp hub")
 	hubHours := flag.Int("hub-hours", 2, "replayed stream hours per home for -exp hub")
-	hubJSON := flag.String("hubjson", "BENCH_hub.json", "write the -exp hub result to this JSON file (empty = off)")
+	hubJSON := flag.String("hubjson", "", "write the -exp hub result to this JSON file (empty = off)")
 	recHours := flag.Int("recovery-hours", 2, "replayed stream hours for -exp recovery")
-	recJSON := flag.String("recoveryjson", "BENCH_recovery.json", "write the -exp recovery result to this JSON file (empty = off)")
+	recJSON := flag.String("recoveryjson", "", "write the -exp recovery result to this JSON file (empty = off)")
 	clusterNodes := flag.Int("cluster-nodes", 3, "federated hub nodes for -exp cluster (the last one is killed mid-stream)")
 	clusterHomes := flag.Int("cluster-homes", 6, "tenants spread across the cluster for -exp cluster")
 	clusterHours := flag.Int("cluster-hours", 2, "replayed stream hours per home for -exp cluster")
-	clusterJSON := flag.String("clusterjson", "BENCH_cluster.json", "write the -exp cluster result to this JSON file (empty = off)")
+	clusterJSON := flag.String("clusterjson", "", "write the -exp cluster result to this JSON file (empty = off)")
 	driftDays := flag.Int("drift-days", 0, "days of drifted behaviour for -exp drift (0 = bench default)")
 	driftExtra := flag.Int("drift-extra", 0, "new activities the residents adopt for -exp drift (0 = bench default)")
 	driftAdmit := flag.Int("drift-admit", 0, "adapter admission threshold for -exp drift (0 = bench default)")
-	driftJSON := flag.String("driftjson", "BENCH_drift.json", "write the -exp drift result to this JSON file (empty = off)")
+	driftJSON := flag.String("driftjson", "", "write the -exp drift result to this JSON file (empty = off)")
 	timingDelay := flag.Int("timing-delay", 0, "hold windows per delayed trigger for -exp timing (0 = bench default)")
 	timingTrials := flag.Int("timing-trials", 0, "fault trials for -exp timing (0 = bench default)")
-	timingJSON := flag.String("timingjson", "BENCH_timing.json", "write the -exp timing result to this JSON file (empty = off)")
+	timingJSON := flag.String("timingjson", "", "write the -exp timing result to this JSON file (empty = off)")
 	scenarioTrials := flag.Int("scenario-trials", 0, "trials per scenario for -exp scenarios (0 = bench default)")
 	scenarioTrain := flag.Int("scenario-train", 0, "training hours for -exp scenarios (0 = bench default)")
-	scenariosJSON := flag.String("scenariosjson", "BENCH_scenarios.json", "write the -exp scenarios result to this JSON file (empty = off)")
+	scenariosJSON := flag.String("scenariosjson", "", "write the -exp scenarios result to this JSON file (empty = off)")
 	flag.Parse()
 
 	specs, err := selectSpecs(*dsFlag)
@@ -295,12 +297,21 @@ func writeBenchJSON(path string, results []*eval.DatasetResult, workers int, wal
 			IdentifyNS:    float64(r.IdentifyTime.Nanoseconds()),
 		})
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	return writeJSON(path, "bench", out)
+}
+
+// writeJSON writes v as indented JSON to path; an empty path writes
+// nothing.
+func writeJSON(path, what string, v any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write bench json: %w", err)
+		return fmt.Errorf("write %s json: %w", what, err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
@@ -308,7 +319,7 @@ func writeBenchJSON(path string, results []*eval.DatasetResult, workers int, wal
 
 // runHubBench measures multi-tenant throughput: M homes replayed
 // concurrently through one hub, per-shard ops, total events/sec. The
-// result lands in BENCH_hub.json next to BENCH_eval.json.
+// result lands in jsonPath when it is set.
 func runHubBench(o eval.HubBench, jsonPath string) error {
 	res, err := eval.RunHubBench(o)
 	if err != nil {
@@ -323,23 +334,12 @@ func runHubBench(o eval.HubBench, jsonPath string) error {
 	for _, s := range res.PerShard {
 		fmt.Printf("  shard %d %8d ops, %d shed\n", s.Shard, s.Ops, s.Shed)
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write hub bench json: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+	return writeJSON(jsonPath, "hub bench", res)
 }
 
 // runClusterBench federates N in-process hub nodes, replays every home's
 // stream through them while live-migrating one tenant and killing one
-// node, and lands the throughput/recovery numbers in BENCH_cluster.json.
+// node, and lands the throughput/recovery numbers in jsonPath when set.
 func runClusterBench(o eval.ClusterBench, jsonPath string) error {
 	res, err := eval.RunClusterBench(o)
 	if err != nil {
@@ -360,22 +360,11 @@ func runClusterBench(o eval.ClusterBench, jsonPath string) error {
 	if !res.BitIdentical {
 		return fmt.Errorf("cluster replay diverged from solo gateways")
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write cluster bench json: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+	return writeJSON(jsonPath, "cluster bench", res)
 }
 
 // runRecoveryBench prices WAL durability per fsync policy and times a
-// checkpoint+WAL crash recovery. The result lands in BENCH_recovery.json.
+// checkpoint+WAL crash recovery. The result lands in jsonPath when set.
 func runRecoveryBench(o eval.RecoveryBench, jsonPath string) error {
 	res, err := eval.RunRecoveryBench(o)
 	if err != nil {
@@ -388,23 +377,12 @@ func runRecoveryBench(o eval.RecoveryBench, jsonPath string) error {
 	}
 	fmt.Printf("  crash at %.0f%% checkpoint: %d WAL records replayed in %.1f ms (%8.0f events/sec), bit-identical=%v\n",
 		100*res.CheckpointAt, res.ReplayedRecords, res.RecoveryMS, res.RecoveredPerSec, res.BitIdentical)
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write recovery bench json: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+	return writeJSON(jsonPath, "recovery bench", res)
 }
 
 // runDriftBench replays a seeded behaviour drift through a static and an
 // adaptive detector and scores false alarms plus post-adaptation fault
-// detection. The result lands in BENCH_drift.json.
+// detection. The result lands in jsonPath when set.
 func runDriftBench(o eval.DriftBench, jsonPath string) error {
 	res, benchErr := eval.RunDriftBench(o)
 	if res != nil {
@@ -421,24 +399,13 @@ func runDriftBench(o eval.DriftBench, jsonPath string) error {
 	if benchErr != nil {
 		return benchErr
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write drift bench json: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+	return writeJSON(jsonPath, "drift bench", res)
 }
 
 // runTimingBench replays stream-stretch timing faults through a
 // structural-only and a timing-aware detector and scores the timing check's
 // added detection against its clean-replay false alarms. The result lands
-// in BENCH_timing.json.
+// in jsonPath when set.
 func runTimingBench(o eval.TimingBench, jsonPath string) error {
 	res, benchErr := eval.RunTimingBench(o)
 	if res != nil {
@@ -454,23 +421,11 @@ func runTimingBench(o eval.TimingBench, jsonPath string) error {
 	if benchErr != nil {
 		return benchErr
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write timing bench json: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+	return writeJSON(jsonPath, "timing bench", res)
 }
 
 // runScenarioBench grades the multi-fault detector on the adversarial
-// scenario library and writes the per-scenario table to
-// BENCH_scenarios.json.
+// scenario library and writes the per-scenario table to jsonPath when set.
 func runScenarioBench(o eval.ScenarioBench, jsonPath string) error {
 	res, benchErr := eval.RunScenarioBench(o)
 	if res != nil {
@@ -497,18 +452,7 @@ func runScenarioBench(o eval.ScenarioBench, jsonPath string) error {
 	if benchErr != nil {
 		return benchErr
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write scenario bench json: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+	return writeJSON(jsonPath, "scenario bench", res)
 }
 
 func minInt(a, b int) int {

@@ -195,7 +195,6 @@ func run() error {
 	defer h.Close()
 
 	gwOpts := []gateway.Option{
-		gateway.WithConfig(core.Config{}),
 		gateway.WithLiveness(*liveness),
 	}
 	if *adapt {

@@ -176,7 +176,6 @@ func run() error {
 			return nil, nil, err
 		}
 		opts := []gateway.Option{
-			gateway.WithConfig(core.Config{}),
 			gateway.WithLiveness(*liveness),
 		}
 		if *adapt {

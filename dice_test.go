@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // buildHome assembles a two-room home through the public facade.
@@ -115,9 +117,9 @@ func TestFacadeTimingSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctx.TimingCapable() || ctx.SchemaVersion() != ContextSchemaV2 {
+	if !ctx.TimingCapable() || ctx.SchemaVersion() != core.ContextSchemaV2 {
 		t.Fatalf("trained context: capable=%v schema=%d, want capable v%d",
-			ctx.TimingCapable(), ctx.SchemaVersion(), ContextSchemaV2)
+			ctx.TimingCapable(), ctx.SchemaVersion(), core.ContextSchemaV2)
 	}
 	var buf bytes.Buffer
 	if err := ctx.Save(&buf); err != nil {
@@ -139,15 +141,9 @@ func TestFacadeTimingSurface(t *testing.T) {
 	if CheckTiming.Family() != FamilyTiming {
 		t.Errorf("CheckTiming family = %q", CheckTiming.Family())
 	}
-	// A structural-only pipeline and the timing knobs all construct.
+	// A structural-only pipeline constructs.
 	if _, err := New(loaded, WithChecks(checks[:5]...)); err != nil {
 		t.Fatalf("WithChecks: %v", err)
-	}
-	if _, err := New(loaded, WithTiming(false)); err != nil {
-		t.Fatalf("WithTiming: %v", err)
-	}
-	if _, err := New(loaded, WithTimingBand(32, 2), WithTimingQuantiles(0.05, 0.95), WithTimingFlagFast(true)); err != nil {
-		t.Fatalf("timing options: %v", err)
 	}
 }
 

@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("context: %d groups, degree %.1f, %d G2G transitions\n",
 		ctx.NumGroups(), ctx.CorrelationDegree(), ctx.G2G().NumTransitions())
 
-	gw, err := gateway.New(ctx, gateway.WithConfig(core.Config{}))
+	gw, err := gateway.New(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -130,6 +130,52 @@ func soloRun(t testing.TB, cctx *core.Context, evts []event.Event) (gateway.Stat
 	}
 }
 
+// TestNewValidatesTimings: New rejects every timing the node's loops cannot
+// run with — a non-positive heartbeat used to panic the ticker inside the
+// goroutine Start launches — and accepts the timings the drills and the
+// dice-hubd defaults use.
+func TestNewValidatesTimings(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name  string
+		opts  []Option
+		valid bool
+	}{
+		{"defaults", nil, true},
+		{"dice-hubd flag defaults", []Option{WithHeartbeat(500*ms, 2*time.Second, 5*time.Second), WithRetry(4, 50*ms), WithCallTimeout(5 * time.Second)}, true},
+		{"package drills", []Option{WithHeartbeat(100*ms, 400*ms, 2*time.Second), WithRetry(4, 25*ms), WithCallTimeout(3 * time.Second)}, true},
+		{"cluster bench", []Option{WithHeartbeat(100*ms, 400*ms, 1200*ms), WithRetry(6, 25*ms), WithCallTimeout(3 * time.Second)}, true},
+		{"live fail-over drill", []Option{WithHeartbeat(200*ms, time.Second, 3*time.Second)}, true},
+		{"no retries", []Option{WithRetry(0, 50*ms)}, true},
+		{"dead equals suspect", []Option{WithHeartbeat(100*ms, time.Second, time.Second)}, true},
+		{"zero heartbeat", []Option{WithHeartbeat(0, 2*time.Second, 5*time.Second)}, false},
+		{"negative heartbeat", []Option{WithHeartbeat(-ms, 2*time.Second, 5*time.Second)}, false},
+		{"zero suspect-after", []Option{WithHeartbeat(500*ms, 0, 5*time.Second)}, false},
+		{"dead before suspect", []Option{WithHeartbeat(500*ms, 2*time.Second, time.Second)}, false},
+		{"zero call timeout", []Option{WithCallTimeout(0)}, false},
+		{"negative call timeout", []Option{WithCallTimeout(-time.Second)}, false},
+		{"negative retries", []Option{WithRetry(-1, 50*ms)}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := New("a", c.opts...)
+			if c.valid {
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				if err := n.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil {
+				n.Close() //nolint:errcheck // the assertion already failed
+				t.Fatal("New accepted an invalid timing")
+			}
+		})
+	}
+}
+
 func TestOwnerDeterministicAndMinimalReshuffle(t *testing.T) {
 	nodes := []string{"a", "b", "c"}
 	homes := make([]string, 64)

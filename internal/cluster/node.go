@@ -143,6 +143,26 @@ func WithTransport(rt http.RoundTripper) Option {
 	return func(o *nodeOptions) { o.transport = rt }
 }
 
+// validate rejects timings the loops cannot run with: a non-positive
+// heartbeat panics the heartbeat ticker, a non-positive call timeout fails
+// every inter-node call at once, and a peer cannot be declared dead before
+// it is suspect.
+func (o *nodeOptions) validate() error {
+	switch {
+	case o.heartbeat <= 0:
+		return fmt.Errorf("cluster: heartbeat interval %v must be positive", o.heartbeat)
+	case o.suspectAfter <= 0:
+		return fmt.Errorf("cluster: suspect-after %v must be positive", o.suspectAfter)
+	case o.deadAfter < o.suspectAfter:
+		return fmt.Errorf("cluster: dead-after %v is shorter than suspect-after %v", o.deadAfter, o.suspectAfter)
+	case o.callTimeout <= 0:
+		return fmt.Errorf("cluster: call timeout %v must be positive", o.callTimeout)
+	case o.retries < 0:
+		return fmt.Errorf("cluster: retries %d must not be negative", o.retries)
+	}
+	return nil
+}
+
 // Peer failure-detector states.
 const (
 	peerAlive int32 = iota
@@ -195,6 +215,9 @@ func New(id string, opts ...Option) (*Node, error) {
 	}
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	if _, ok := o.peers[id]; ok {
 		return nil, fmt.Errorf("cluster: node %q lists itself as a peer", id)

@@ -211,7 +211,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 		return &Message{Code: CodeChanged}
-	}, WithWorkers(1), WithQueueDepth(1))
+	}, WithServerConfig(ServerConfig{Workers: 1, QueueDepth: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

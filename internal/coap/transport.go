@@ -2,7 +2,6 @@ package coap
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -144,7 +143,6 @@ type Server struct {
 	handler Handler
 	cfg     ServerConfig
 	queue   chan job
-	done    chan struct{} // closed by Close, releases the context watcher
 
 	epoch time.Time // monotonic origin of exchange.born
 
@@ -160,13 +158,13 @@ type Server struct {
 	workerWG sync.WaitGroup
 }
 
-// ServerOption configures a Server at construction.
+// ServerOption configures a Server at construction. Tuning goes through
+// WithServerConfig; WithTelemetry installs the metrics registry.
 type ServerOption func(*srvOptions)
 
 type srvOptions struct {
 	cfg ServerConfig
 	tel *telemetry.Registry
-	ctx context.Context
 }
 
 // WithServerConfig replaces the whole tuning config.
@@ -174,34 +172,11 @@ func WithServerConfig(cfg ServerConfig) ServerOption {
 	return func(o *srvOptions) { o.cfg = cfg }
 }
 
-// WithWorkers sets the handler goroutine count.
-func WithWorkers(n int) ServerOption {
-	return func(o *srvOptions) { o.cfg.Workers = n }
-}
-
-// WithQueueDepth bounds requests waiting for a free worker.
-func WithQueueDepth(n int) ServerOption {
-	return func(o *srvOptions) { o.cfg.QueueDepth = n }
-}
-
-// WithExchangeLifetime sets the dedup-cache entry lifetime.
-func WithExchangeLifetime(d time.Duration) ServerOption {
-	return func(o *srvOptions) { o.cfg.ExchangeLifetime = d }
-}
-
 // WithTelemetry registers the server's counters against a shared registry
 // (typically the gateway's) instead of a private one, so they appear on
 // the /metrics exposition.
 func WithTelemetry(reg *telemetry.Registry) ServerOption {
 	return func(o *srvOptions) { o.tel = reg }
-}
-
-// WithContext ties the server's lifetime to ctx: when ctx is cancelled the
-// server closes itself (read loop and workers drain and exit), replacing
-// ad-hoc stop channels with the standard cancellation surface. Equivalent
-// to ServeContext.
-func WithContext(ctx context.Context) ServerOption {
-	return func(o *srvOptions) { o.ctx = ctx }
 }
 
 // ListenAndServe starts a server on addr (e.g. "127.0.0.1:5683"); pass
@@ -224,24 +199,16 @@ func ListenAndServe(addr string, handler Handler, opts ...ServerOption) (*Server
 }
 
 // Serve serves CoAP on an existing packet conn (which may be a
-// fault-injecting wrapper) and takes ownership of it. The returned server
-// is already serving. It is ServeContext with a background context —
-// lifetime managed solely through Close.
+// fault-injecting wrapper) and takes ownership of it until Close. The
+// returned server is already serving.
 func Serve(conn net.PacketConn, handler Handler, opts ...ServerOption) (*Server, error) {
-	return ServeContext(context.Background(), conn, handler, opts...)
-}
-
-// ServeContext is the canonical constructor: it serves CoAP on conn until
-// ctx is cancelled or Close is called, whichever comes first. The returned
-// server is already serving.
-func ServeContext(ctx context.Context, conn net.PacketConn, handler Handler, opts ...ServerOption) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("coap: nil handler")
 	}
 	if conn == nil {
 		return nil, errors.New("coap: nil conn")
 	}
-	o := srvOptions{ctx: ctx}
+	var o srvOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -251,7 +218,6 @@ func ServeContext(ctx context.Context, conn net.PacketConn, handler Handler, opt
 		handler: handler,
 		cfg:     cfg,
 		queue:   make(chan job, cfg.QueueDepth),
-		done:    make(chan struct{}),
 		epoch:   time.Now(),
 		dedup:   make(map[dedupKey]exchange),
 		met:     newSrvMetrics(o.tel),
@@ -262,15 +228,6 @@ func ServeContext(ctx context.Context, conn net.PacketConn, handler Handler, opt
 	}
 	s.serveWG.Add(1)
 	go s.serve()
-	if o.ctx != nil && o.ctx.Done() != nil {
-		go func() {
-			select {
-			case <-o.ctx.Done():
-				s.Close() //nolint:errcheck // conn close error surfaces nowhere useful here
-			case <-s.done:
-			}
-		}()
-	}
 	return s, nil
 }
 
@@ -299,7 +256,6 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.done)
 	err := s.conn.Close()
 	s.serveWG.Wait() // serve() is the only sender on queue
 	close(s.queue)

@@ -90,7 +90,8 @@ const (
 	// DefaultDecayEvery ages the transition counts once per week of
 	// one-minute windows.
 	DefaultDecayEvery = 7 * 24 * 60
-	// DefaultMaxPending bounds the tracked candidate sets.
+	// DefaultMaxPending bounds the tracked candidate sets; further unseen
+	// sets are ignored until a slot frees up.
 	DefaultMaxPending = 512
 )
 
@@ -101,7 +102,6 @@ type adapterOptions struct {
 	admitAfter  int
 	decayFactor float64
 	decayEvery  int
-	maxPending  int
 	tel         *telemetry.Registry
 }
 
@@ -119,12 +119,6 @@ func WithDecay(factor float64, every int) AdapterOption {
 		o.decayFactor = factor
 		o.decayEvery = every
 	}
-}
-
-// WithMaxPending bounds how many candidate state sets are tracked at once;
-// further unseen sets are ignored until a slot frees up.
-func WithMaxPending(n int) AdapterOption {
-	return func(o *adapterOptions) { o.maxPending = n }
 }
 
 // WithAdapterTelemetry instruments the adapter against the registry (the
@@ -203,16 +197,12 @@ func NewAdapter(base *Context, opts ...AdapterOption) (*Adapter, error) {
 		admitAfter:  DefaultAdmitAfter,
 		decayFactor: DefaultDecayFactor,
 		decayEvery:  DefaultDecayEvery,
-		maxPending:  DefaultMaxPending,
 	}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.admitAfter < 1 {
 		o.admitAfter = 1
-	}
-	if o.maxPending < 1 {
-		o.maxPending = 1
 	}
 	bin, err := NewBinarizer(base.Layout(), base.ValueThre())
 	if err != nil {
@@ -402,7 +392,7 @@ func (a *Adapter) observeEdges(curID int, o *window.Observation) {
 func (a *Adapter) observePending(key string, o *window.Observation) *pendingSet {
 	p := a.pending[key]
 	if p == nil {
-		if len(a.pending) >= a.cfg.maxPending {
+		if len(a.pending) >= DefaultMaxPending {
 			return nil
 		}
 		p = &pendingSet{

@@ -44,23 +44,17 @@ const (
 )
 
 // Config tunes DICE. The zero value is usable: Normalize fills defaults.
+// The window duration belongs to the window layer (internal/window); the
+// context carries the duration it was trained with.
 type Config struct {
-	// Duration is the state-set window length. Purely informational here
-	// (windowing happens in internal/window); persisted with the context so
-	// a detector refuses mismatched windows at a higher layer.
-	Duration time.Duration
-
 	// MaxFaults is the number of simultaneous faults the system considers.
 	// It sets numThre (identification stops when the intersection has at
-	// most this many devices) and the default candidate distance.
+	// most this many devices) and the candidate distance: the maximum
+	// Hamming distance at which a group is considered a probable group
+	// during the correlation check. The paper uses MaxFaults bit-flips; the
+	// detector uses 3*MaxFaults so that a numeric sensor fault, which owns
+	// three bits, still finds its probable groups.
 	MaxFaults int
-
-	// CandidateDistance is the maximum Hamming distance at which a group is
-	// considered a probable group during the correlation check. The paper
-	// uses MaxFaults bit-flips; we default to 3*MaxFaults so that a numeric
-	// sensor fault, which owns three bits, still finds its probable groups.
-	// Zero means "derive from MaxFaults".
-	CandidateDistance int
 
 	// IdentifyGiveUp is the number of consecutive uninformative windows
 	// after which identification reports its current intersection.
@@ -68,10 +62,6 @@ type Config struct {
 
 	// MaxIdentifyWindows hard-caps identification episode length.
 	MaxIdentifyWindows int
-
-	// MaxStalls is the number of empty-intersection updates tolerated
-	// before reporting.
-	MaxStalls int
 
 	// Weights optionally assigns criticality/failure weights to devices
 	// (§VI). When a device with weight >= WeightAlarm enters the probable
@@ -89,44 +79,12 @@ type Config struct {
 	// filtered out) are dropped from the alert; if every device passes,
 	// the episode is dismissed as a false alarm and detection resumes.
 	Attest func(devices []device.ID) []device.ID
-
-	// DisableTiming turns the interval-band timing check off even when the
-	// context carries sketches (schema v2). The check is also implicitly
-	// off against v1 contexts, which have no sketches to test against.
-	DisableTiming bool
-
-	// TimingMinSamples is the minimum number of recorded gaps an edge's
-	// sketch needs before the timing check trusts its band; zero means
-	// DefaultTimingMinSamples.
-	TimingMinSamples int
-
-	// TimingSlackBuckets widens the learned band by this many log2 buckets
-	// on each side before a gap counts as out of band; values <= 0 mean
-	// DefaultTimingSlackBuckets.
-	TimingSlackBuckets int
-
-	// TimingQuantileLo/TimingQuantileHi bound the learned band by sketch
-	// quantiles. The defaults (0, 1) keep the full observed range, so only
-	// gaps beyond anything seen in training (plus slack) flag.
-	TimingQuantileLo float64
-	TimingQuantileHi float64
-
-	// TimingFlagFast also flags gaps that undershoot the band (a transition
-	// arriving implausibly early). Off by default: early arrivals are far
-	// more often benign than late ones.
-	TimingFlagFast bool
 }
 
 // Normalize returns a copy of c with zero fields replaced by defaults.
 func (c Config) Normalize() Config {
-	if c.Duration <= 0 {
-		c.Duration = DefaultDuration
-	}
 	if c.MaxFaults <= 0 {
 		c.MaxFaults = DefaultMaxFaults
-	}
-	if c.CandidateDistance <= 0 {
-		c.CandidateDistance = 3 * c.MaxFaults
 	}
 	if c.IdentifyGiveUp <= 0 {
 		c.IdentifyGiveUp = DefaultIdentifyGiveUp
@@ -134,20 +92,9 @@ func (c Config) Normalize() Config {
 	if c.MaxIdentifyWindows <= 0 {
 		c.MaxIdentifyWindows = DefaultMaxIdentifyWindows
 	}
-	if c.MaxStalls <= 0 {
-		c.MaxStalls = DefaultMaxStalls
-	}
-	if c.TimingMinSamples <= 0 {
-		c.TimingMinSamples = DefaultTimingMinSamples
-	}
-	if c.TimingSlackBuckets <= 0 {
-		c.TimingSlackBuckets = DefaultTimingSlackBuckets
-	}
-	if c.TimingQuantileLo < 0 {
-		c.TimingQuantileLo = 0
-	}
-	if c.TimingQuantileHi <= 0 || c.TimingQuantileHi > 1 {
-		c.TimingQuantileHi = 1
-	}
 	return c
 }
+
+// candidateDistance is the probable-group Hamming radius: 3*MaxFaults (see
+// MaxFaults).
+func (c Config) candidateDistance() int { return 3 * c.MaxFaults }

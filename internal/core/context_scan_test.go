@@ -220,6 +220,9 @@ func TestDetectorCleanWindowAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !ctx.TimingCapable() {
+		t.Fatal("context carries no interval sketches; the timing stage would not run")
+	}
 	det, err := New(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -342,7 +342,7 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 		return Result{}, err
 	}
 	t1 := monoNow()
-	cands := d.ctx.ScanWith(&d.scanScratch, v, d.cfg.CandidateDistance)
+	cands := d.ctx.ScanWith(&d.scanScratch, v, d.cfg.candidateDistance())
 	t2 := monoNow()
 	res.Timing.Binarize = t1 - t0
 	res.Timing.Correlation = t2 - t1
@@ -759,7 +759,7 @@ func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
 	if !done && early {
 		done = true
 	}
-	if !done && (ep.stalls >= d.cfg.MaxStalls ||
+	if !done && (ep.stalls >= DefaultMaxStalls ||
 		ep.normalStreak >= d.cfg.IdentifyGiveUp ||
 		ep.length >= d.cfg.MaxIdentifyWindows) {
 		done = true

@@ -436,19 +436,19 @@ func TestCheckKindStrings(t *testing.T) {
 
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}.Normalize()
-	if c.Duration != DefaultDuration || c.MaxFaults != DefaultMaxFaults {
+	if c.MaxFaults != DefaultMaxFaults || c.IdentifyGiveUp != DefaultIdentifyGiveUp ||
+		c.MaxIdentifyWindows != DefaultMaxIdentifyWindows {
 		t.Errorf("defaults: %+v", c)
 	}
-	if c.CandidateDistance != 3*DefaultMaxFaults {
-		t.Errorf("CandidateDistance = %d", c.CandidateDistance)
+	if c.candidateDistance() != 3*DefaultMaxFaults {
+		t.Errorf("candidateDistance = %d", c.candidateDistance())
 	}
-	c2 := Config{MaxFaults: 3}.Normalize()
-	if c2.CandidateDistance != 9 {
-		t.Errorf("CandidateDistance for 3 faults = %d, want 9", c2.CandidateDistance)
+	c2 := Config{MaxFaults: 3, IdentifyGiveUp: 7, MaxIdentifyWindows: 9}.Normalize()
+	if c2.MaxFaults != 3 || c2.IdentifyGiveUp != 7 || c2.MaxIdentifyWindows != 9 {
+		t.Errorf("explicit fields overridden: %+v", c2)
 	}
-	c3 := Config{CandidateDistance: 2}.Normalize()
-	if c3.CandidateDistance != 2 {
-		t.Error("explicit CandidateDistance overridden")
+	if c2.candidateDistance() != 9 {
+		t.Errorf("candidateDistance for 3 faults = %d, want 9", c2.candidateDistance())
 	}
 }
 

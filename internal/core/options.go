@@ -1,15 +1,10 @@
 package core
 
-import (
-	"time"
+import "repro/internal/telemetry"
 
-	"repro/internal/device"
-	"repro/internal/telemetry"
-)
-
-// Option configures a Detector at construction. Options are applied in
-// order, so a WithConfig followed by field options yields the config with
-// those fields overridden.
+// Option configures a Detector at construction. Tuning goes through
+// WithConfig; the other options install collaborators (telemetry, the
+// check pipeline).
 type Option func(*detOptions)
 
 type detOptions struct {
@@ -23,71 +18,12 @@ func WithConfig(cfg Config) Option {
 	return func(o *detOptions) { o.cfg = cfg }
 }
 
-// WithDuration sets the state-set window length.
-func WithDuration(d time.Duration) Option {
-	return func(o *detOptions) { o.cfg.Duration = d }
-}
-
-// WithMaxFaults sets numThre, the simultaneous-fault bound.
-func WithMaxFaults(n int) Option {
-	return func(o *detOptions) { o.cfg.MaxFaults = n }
-}
-
-// WithCandidateDistance sets the probable-group Hamming radius.
-func WithCandidateDistance(n int) Option {
-	return func(o *detOptions) { o.cfg.CandidateDistance = n }
-}
-
-// WithWeights sets the §VI device weights and the early-alert threshold.
-func WithWeights(weights map[device.ID]float64, alarm float64) Option {
-	return func(o *detOptions) {
-		o.cfg.Weights = weights
-		o.cfg.WeightAlarm = alarm
-	}
-}
-
-// WithAttest installs the optional attestation step of §3.4.
-func WithAttest(attest func(devices []device.ID) []device.ID) Option {
-	return func(o *detOptions) { o.cfg.Attest = attest }
-}
-
 // WithChecks replaces the detection pipeline. Checks run in the given order
 // on every non-episode window and the first Finding wins, so callers
-// reorder, drop, or extend DefaultChecks to reshape detection.
+// reorder, drop, or extend DefaultChecks to reshape detection; dropping the
+// CheckTiming stage gives a structural-only detector.
 func WithChecks(checks ...Check) Option {
 	return func(o *detOptions) { o.checks = checks }
-}
-
-// WithTiming enables or disables the interval-band timing check. It is on
-// by default whenever the context carries interval sketches (schema v2).
-func WithTiming(enabled bool) Option {
-	return func(o *detOptions) { o.cfg.DisableTiming = !enabled }
-}
-
-// WithTimingBand tunes the timing check's conservativeness: minSamples is
-// the sketch population below which an edge is not judged, and
-// slackBuckets widens the learned band by whole log2 buckets. Zero values
-// keep the defaults.
-func WithTimingBand(minSamples, slackBuckets int) Option {
-	return func(o *detOptions) {
-		o.cfg.TimingMinSamples = minSamples
-		o.cfg.TimingSlackBuckets = slackBuckets
-	}
-}
-
-// WithTimingQuantiles bounds the learned band by sketch quantiles instead
-// of the full observed range (the (0, 1) default).
-func WithTimingQuantiles(lo, hi float64) Option {
-	return func(o *detOptions) {
-		o.cfg.TimingQuantileLo = lo
-		o.cfg.TimingQuantileHi = hi
-	}
-}
-
-// WithTimingFlagFast also flags transitions arriving implausibly early,
-// not just late.
-func WithTimingFlagFast(enabled bool) Option {
-	return func(o *detOptions) { o.cfg.TimingFlagFast = enabled }
 }
 
 // WithTelemetry instruments the detector against the registry: scan

@@ -19,7 +19,10 @@ const (
 	// DefaultTimingSlackBuckets is how many log2 buckets beyond the learned
 	// band a gap must land before it is flagged. One bucket of slack means
 	// a gap must be at least ~2x the band edge — conservative enough that a
-	// clean replay of the training distribution never alarms.
+	// clean replay of the training distribution never alarms. The band
+	// itself is the full observed range (sketch quantiles 0 and 1), so only
+	// gaps beyond anything seen in training flag, and only late ones:
+	// early arrivals are far more often benign.
 	DefaultTimingSlackBuckets = 1
 )
 
@@ -37,14 +40,11 @@ type TimingEvidence struct {
 	To   int `json:"to"`
 	// GapWindows is the observed inter-window gap that fell out of band.
 	GapWindows int `json:"gap_windows"`
-	// BandLoWindows/BandHiWindows bound the learned quantile band,
-	// expressed in windows (bucket edges, not quantile interpolation).
+	// BandLoWindows/BandHiWindows bound the learned band, expressed in
+	// windows (bucket edges, not quantile interpolation). The gap overshot
+	// BandHiWindows.
 	BandLoWindows int `json:"band_lo_windows"`
 	BandHiWindows int `json:"band_hi_windows"`
-	// TooFast is true when the gap undershot the band (only flagged when
-	// the detector was configured WithTimingFlagFast); false means the gap
-	// overshot it.
-	TooFast bool `json:"too_fast,omitempty"`
 	// Samples is how many gaps the edge's sketch had recorded.
 	Samples uint64 `json:"samples"`
 	// Buckets is the sketch's log2 histogram at flag time.
@@ -64,8 +64,8 @@ func (e *TimingEvidence) Clone() *TimingEvidence {
 // TimingCheck flags structurally valid transitions whose inter-window gap
 // falls outside the interval band learned during training — the right
 // transition at the wrong pace. It self-disables when the context predates
-// interval sketches (schema v1) or the detector was built WithTiming(false),
-// and it evaluates the edge families in blame order: A2G (a firing's
+// interval sketches (schema v1); a structural-only detector drops it from
+// WithChecks. It evaluates the edge families in blame order: A2G (a firing's
 // consequence arrived off-pace — suspect the actuator), then G2A (a firing
 // left its group off-pace — suspect the actuator), then G2G (a plain hop
 // after an out-of-band dwell — suspect the sensors separating the groups).
@@ -80,7 +80,7 @@ func (TimingCheck) Cause() Cause { return CheckTiming }
 // Run implements Check.
 func (TimingCheck) Run(d *Detector, in CheckInput) *Finding {
 	cur := in.Cands.Main
-	if cur == NoGroup || d.cfg.DisableTiming || !d.ctx.TimingCapable() {
+	if cur == NoGroup || !d.ctx.TimingCapable() {
 		return nil
 	}
 	d.met.timingChecked.Inc()
@@ -138,15 +138,11 @@ func (TimingCheck) Run(d *Detector, in CheckInput) *Finding {
 // the clean-window hot path stays allocation-free.
 func (d *Detector) gapOutOfBand(ss *markov.SketchSet, from, to, gap int, edge string) *TimingEvidence {
 	s := ss.Get(from, to)
-	if s == nil || s.Total() < uint64(d.cfg.TimingMinSamples) {
+	if s == nil || s.Total() < DefaultTimingMinSamples {
 		return nil
 	}
-	lo, hi := s.Band(d.cfg.TimingQuantileLo, d.cfg.TimingQuantileHi)
-	b := markov.BucketFor(gap)
-	slack := d.cfg.TimingSlackBuckets
-	slow := b > hi+slack
-	fast := d.cfg.TimingFlagFast && b < lo-slack
-	if !slow && !fast {
+	lo, hi := s.Band(0, 1)
+	if markov.BucketFor(gap) <= hi+DefaultTimingSlackBuckets {
 		return nil
 	}
 	d.met.timingFlag(edge)
@@ -158,7 +154,6 @@ func (d *Detector) gapOutOfBand(ss *markov.SketchSet, from, to, gap int, edge st
 		GapWindows:    gap,
 		BandLoWindows: markov.BucketMin(lo),
 		BandHiWindows: markov.BucketMax(hi),
-		TooFast:       fast,
 		Samples:       s.Total(),
 		Buckets:       s.Buckets(),
 	}

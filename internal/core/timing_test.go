@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,12 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/window"
 )
+
+// structuralChecks is DefaultChecks without the timing stage: the
+// structural-only detector.
+func structuralChecks() []Check {
+	return slices.DeleteFunc(DefaultChecks(), func(c Check) bool { return c.Cause() == CheckTiming })
+}
 
 // timingWindow builds one window of the two-group rhythm used by the timing
 // tests: group A (motion-a, warm kitchen) or group B (motion-b, bright
@@ -85,8 +92,8 @@ func delayedHopStream(l *window.Layout, hold int, fire bool) ([]*window.Observat
 
 // TestTimingCheckFlagsDelayedHop: a structurally valid hop after an
 // out-of-band dwell raises CheckTiming with gap/band evidence, while a
-// detector built WithTiming(false) sees nothing wrong — the fault family
-// the structural checks are blind to.
+// detector built without the timing stage sees nothing wrong — the fault
+// family the structural checks are blind to.
 func TestTimingCheckFlagsDelayedHop(t *testing.T) {
 	l := coreLayout(t)
 	ctx := rhythmTrain(t, l, false)
@@ -158,7 +165,7 @@ func TestTimingCheckFlagsDelayedHop(t *testing.T) {
 	}
 
 	// The structural-only arm must stay silent on the same stream.
-	structural, err := New(ctx, WithTiming(false))
+	structural, err := New(ctx, WithChecks(structuralChecks()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +242,7 @@ func TestContextTimingSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Fingerprint() != ctx.Fingerprint() {
 		t.Errorf("fingerprint changed across save/load: %s vs %s", loaded.Fingerprint(), ctx.Fingerprint())
 	}
-	det, err := New(loaded, WithMaxFaults(8))
+	det, err := New(loaded, WithConfig(Config{MaxFaults: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,6 @@ type ClusterBenchResult struct {
 }
 
 var clusterGwOpts = []gateway.Option{
-	gateway.WithConfig(core.Config{}),
 	gateway.WithAlertBuffer(4096),
 }
 

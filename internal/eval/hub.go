@@ -115,7 +115,7 @@ func hubReplay(o HubBench, cctx *core.Context, names []string, streams [][]event
 	}
 	defer h.Close()
 	for _, name := range names {
-		if _, err := h.Register(name, cctx, gateway.WithConfig(core.Config{})); err != nil {
+		if _, err := h.Register(name, cctx); err != nil {
 			return 0, nil, nil, err
 		}
 	}

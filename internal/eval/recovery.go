@@ -122,7 +122,7 @@ func RunRecoveryBench(o RecoveryBench) (*RecoveryBenchResult, error) {
 
 	// Price each fsync policy against a no-WAL baseline.
 	replay := func(w *wal.Log) (time.Duration, gateway.Stats, error) {
-		opts := []gateway.Option{gateway.WithConfig(core.Config{}), gateway.WithAlertBuffer(len(stream))}
+		opts := []gateway.Option{gateway.WithAlertBuffer(len(stream))}
 		if w != nil {
 			opts = append(opts, gateway.WithWAL(w))
 		}
@@ -184,8 +184,7 @@ func RunRecoveryBench(o RecoveryBench) (*RecoveryBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	gw, err := gateway.New(cctx, gateway.WithConfig(core.Config{}),
-		gateway.WithAlertBuffer(len(stream)), gateway.WithWAL(w))
+	gw, err := gateway.New(cctx, gateway.WithAlertBuffer(len(stream)), gateway.WithWAL(w))
 	if err != nil {
 		return nil, err
 	}
@@ -214,8 +213,7 @@ func RunRecoveryBench(o RecoveryBench) (*RecoveryBenchResult, error) {
 		return nil, err
 	}
 	defer w2.Close()
-	recovered, err := gateway.New(cctx, gateway.WithConfig(core.Config{}),
-		gateway.WithAlertBuffer(len(stream)), gateway.WithWAL(w2))
+	recovered, err := gateway.New(cctx, gateway.WithAlertBuffer(len(stream)), gateway.WithWAL(w2))
 	if err != nil {
 		return nil, err
 	}

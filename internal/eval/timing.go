@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -14,9 +15,9 @@ import (
 // on a home's routine (recording interval sketches), and the same injected
 // timing faults — delayed actuators and slowly degrading sensors, which are
 // structurally invisible because every transition they produce is a trained
-// one — are replayed through a structural-only arm (WithTiming(false)) and
-// a timing-aware arm. The timing arm must catch what the structural arm
-// misses while flagging nothing on a clean replay.
+// one — are replayed through a structural-only arm (WithChecks without the
+// timing stage) and a timing-aware arm. The timing arm must catch what the
+// structural arm misses while flagging nothing on a clean replay.
 type TimingBench struct {
 	// TrainHours is the precomputation prefix (default 960 — the interval
 	// sketches need >= core.DefaultTimingMinSamples repeats of each edge
@@ -155,7 +156,10 @@ func RunTimingBench(o TimingBench) (*TimingBenchResult, error) {
 		if timing {
 			return core.New(ctx)
 		}
-		return core.New(ctx, core.WithTiming(false))
+		structural := slices.DeleteFunc(core.DefaultChecks(), func(c core.Check) bool {
+			return c.Cause() == core.CheckTiming
+		})
+		return core.New(ctx, core.WithChecks(structural...))
 	}
 
 	// Clean replay: both arms over the same fault-free day(s).

@@ -190,7 +190,7 @@ func (g *Gateway) restoreContextLocked(cc *ContextCheckpoint, ast *core.AdapterS
 			ErrCorruptCheckpoint, ctx.Epoch(), ctx.Fingerprint(), cc.Epoch, cc.Fingerprint)
 	}
 	if ctx.Fingerprint() != cur.Fingerprint() {
-		det, err := core.New(ctx, g.detOpts...)
+		det, err := core.New(ctx, core.WithConfig(g.cfg), core.WithTelemetry(g.tel))
 		if err != nil {
 			return err
 		}

@@ -122,11 +122,11 @@ type Gateway struct {
 
 	// Online adaptation: the adapter watches every processed window under
 	// the gateway lock and publishes new immutable context versions, which
-	// are swapped into the detector atomically between windows. detOpts and
-	// adaptOpts keep the construction recipes so a checkpoint restore can
-	// rebuild both onto a restored context version (rollback).
+	// are swapped into the detector atomically between windows. cfg (with
+	// tel) and adaptOpts keep the construction recipes so a checkpoint
+	// restore can rebuild both onto a restored context version (rollback).
 	adapter   *core.Adapter
-	detOpts   []core.Option
+	cfg       core.Config
 	adapt     bool
 	adaptOpts []core.AdapterOption
 
@@ -173,11 +173,9 @@ type Option func(*gwOptions)
 
 type gwOptions struct {
 	cfg        core.Config
-	detOpts    []core.Option
 	liveness   time.Duration
 	tel        *telemetry.Registry
 	alertBuf   int
-	cp         *Checkpoint
 	wal        *wal.Log
 	home       string
 	ingestHook func(event.Event) error
@@ -186,15 +184,10 @@ type gwOptions struct {
 	adaptOpts  []core.AdapterOption
 }
 
-// WithConfig sets the detector configuration.
+// WithConfig sets the detector configuration. Without it the gateway runs
+// the zero core.Config: the paper's settings.
 func WithConfig(cfg core.Config) Option {
 	return func(o *gwOptions) { o.cfg = cfg }
-}
-
-// WithDetectorOptions appends raw detector options (applied after the
-// config, so they can override individual fields).
-func WithDetectorOptions(opts ...core.Option) Option {
-	return func(o *gwOptions) { o.detOpts = append(o.detOpts, opts...) }
 }
 
 // WithLiveness enables fail-stop (outage) alerts for devices that have
@@ -217,12 +210,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // buffer drops alerts (counted) rather than blocking detection.
 func WithAlertBuffer(n int) Option {
 	return func(o *gwOptions) { o.alertBuf = n }
-}
-
-// WithCheckpoint restores the gateway from a checkpoint at construction —
-// equivalent to New followed by RestoreCheckpoint, but in one step.
-func WithCheckpoint(cp *Checkpoint) Option {
-	return func(o *gwOptions) { o.cp = cp }
 }
 
 // WithWAL attaches an opened write-ahead log: every accepted Ingest and
@@ -285,8 +272,7 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 	if tel == nil {
 		tel = telemetry.NewRegistry()
 	}
-	detOpts := append([]core.Option{core.WithConfig(o.cfg), core.WithTelemetry(tel)}, o.detOpts...)
-	det, err := core.New(ctx, detOpts...)
+	det, err := core.New(ctx, core.WithConfig(o.cfg), core.WithTelemetry(tel))
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +285,7 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 		alerts:        make(chan Alert, o.alertBuf),
 		tel:           tel,
 		met:           newGwMetrics(tel),
-		detOpts:       detOpts,
+		cfg:           o.cfg,
 		adapt:         o.adapt,
 		liveThreshold: o.liveness,
 		lastSeen:      make(map[device.ID]time.Duration),
@@ -316,11 +302,6 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 			return nil, err
 		}
 		g.adapter = adapter
-	}
-	if o.cp != nil {
-		if err := g.RestoreCheckpoint(o.cp); err != nil {
-			return nil, err
-		}
 	}
 	return g, nil
 }

@@ -43,6 +43,40 @@ func trainedHome(t testing.TB) (*simhome.Home, *core.Context) {
 	return h, ctx
 }
 
+// TestGatewayZeroConfigIsDefault: a gateway built without WithConfig runs
+// the zero core.Config, so passing WithConfig(core.Config{}) is redundant —
+// on a faulty stream both give the same stats, alerts and Explain traces.
+func TestGatewayZeroConfigIsDefault(t *testing.T) {
+	h, ctx := trainedHome(t)
+	evts := faultyAfternoon(t, h, 4)
+	run := func(opts ...Option) (Stats, string) {
+		gw, err := New(ctx, append([]Option{WithAlertBuffer(4096)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evts {
+			if err := gw.Ingest(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := gw.AdvanceTo(4 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		return gw.Stats(), alertsJSON(t, drainAlerts(gw))
+	}
+	defStats, defAlerts := run()
+	zeroStats, zeroAlerts := run(WithConfig(core.Config{}))
+	if defStats.Alerts == 0 {
+		t.Fatal("faulty stream raised no alert; the comparison is vacuous")
+	}
+	if defStats != zeroStats {
+		t.Errorf("stats differ:\n default: %+v\n zero:    %+v", defStats, zeroStats)
+	}
+	if defAlerts != zeroAlerts {
+		t.Errorf("alerts differ:\n default: %s\n zero:    %s", defAlerts, zeroAlerts)
+	}
+}
+
 func TestGatewayCleanStream(t *testing.T) {
 	h, ctx := trainedHome(t)
 	gw, err := New(ctx, WithConfig(core.Config{}))

@@ -32,6 +32,14 @@ func walGateway(t *testing.T, ctx *core.Context, dir string, extra ...Option) (*
 	return gw, w
 }
 
+// mustRestore loads cp into a freshly built gateway.
+func mustRestore(t *testing.T, gw *Gateway, cp *Checkpoint) {
+	t.Helper()
+	if err := gw.RestoreCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGatewayWALCrashRecoveryBitIdentical is the headline durability
 // property: hard-kill the gateway well past its last checkpoint (no drain,
 // no final snapshot), restore a new instance from checkpoint + WAL replay,
@@ -96,7 +104,8 @@ func TestGatewayWALCrashRecoveryBitIdentical(t *testing.T) {
 	if cp.WALSeq == 0 {
 		t.Fatal("checkpoint carries no WAL sequence; replay dedup is untested")
 	}
-	gw2, w2 := walGateway(t, ctx, walDir, WithCheckpoint(cp))
+	gw2, w2 := walGateway(t, ctx, walDir)
+	mustRestore(t, gw2, cp)
 	if err := gw2.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,8 @@ func TestGatewayWALCrashRecoveryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw3, _ := walGateway(t, ctx, walDir, WithCheckpoint(cp3))
+	gw3, _ := walGateway(t, ctx, walDir)
+	mustRestore(t, gw3, cp3)
 	if err := gw3.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,8 @@ func TestGatewayWALReplayIdempotentAnyCheckpoint(t *testing.T) {
 	}
 
 	for at, cp := range cps {
-		gw2, _ := walGateway(t, ctx, dir, WithCheckpoint(cp))
+		gw2, _ := walGateway(t, ctx, dir)
+		mustRestore(t, gw2, cp)
 		if err := gw2.RecoverWAL(); err != nil {
 			t.Fatalf("checkpoint at op %d: %v", at, err)
 		}
@@ -232,7 +243,8 @@ func TestGatewayWALLostLogKeepsSequence(t *testing.T) {
 	}
 
 	// Restore over the empty log, ingest a little, then crash.
-	gw2, w2 := walGateway(t, ctx, walDir, WithCheckpoint(cp))
+	gw2, w2 := walGateway(t, ctx, walDir)
+	mustRestore(t, gw2, cp)
 	if err := gw2.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +257,8 @@ func TestGatewayWALLostLogKeepsSequence(t *testing.T) {
 		t.Fatalf("WALSeq %d, log tail %d, checkpoint %d: the log restarted its sequence", got, want, cp.WALSeq)
 	}
 
-	gw3, _ := walGateway(t, ctx, walDir, WithCheckpoint(cp))
+	gw3, _ := walGateway(t, ctx, walDir)
+	mustRestore(t, gw3, cp)
 	if err := gw3.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +426,11 @@ func TestGatewayLivenessRebase(t *testing.T) {
 	cp := gw.ExportCheckpoint()
 
 	// Restart after a 3-hour outage: the first live op lands at 4h.
-	gw2, err := New(ctx, WithConfig(core.Config{}), WithLiveness(thr), WithCheckpoint(cp))
+	gw2, err := New(ctx, WithConfig(core.Config{}), WithLiveness(thr))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustRestore(t, gw2, cp)
 	if err := gw2.AdvanceTo(4 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -434,10 +448,11 @@ func TestGatewayLivenessRebase(t *testing.T) {
 
 	// Control: a seamless resume (clock jump below the threshold) must not
 	// shift anything — restart bit-identity depends on it.
-	gw3, err := New(ctx, WithConfig(core.Config{}), WithLiveness(thr), WithCheckpoint(cp))
+	gw3, err := New(ctx, WithConfig(core.Config{}), WithLiveness(thr))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustRestore(t, gw3, cp)
 	if err := gw3.AdvanceTo(70 * time.Minute); err != nil {
 		t.Fatal(err)
 	}

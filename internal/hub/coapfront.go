@@ -3,7 +3,6 @@ package hub
 import (
 	"encoding/json"
 	"errors"
-	"net"
 	"strings"
 	"time"
 
@@ -59,28 +58,13 @@ type Front struct {
 type FrontOption func(*frontOptions)
 
 type frontOptions struct {
-	def      string
-	coapOpts []coap.ServerOption
+	def string
 }
 
 // WithDefaultHome routes bare (un-suffixed) paths to the given tenant, for
 // single-home device agents that predate the hub.
 func WithDefaultHome(home string) FrontOption {
 	return func(o *frontOptions) { o.def = home }
-}
-
-// WithCoAPOptions appends raw CoAP server options (context, chaos config,
-// dedup tuning, ...).
-func WithCoAPOptions(opts ...coap.ServerOption) FrontOption {
-	return func(o *frontOptions) { o.coapOpts = append(o.coapOpts, opts...) }
-}
-
-func newFront(h *Hub, def string) *Front {
-	return &Front{
-		h:         h,
-		def:       def,
-		malformed: h.Telemetry().Counter(metricHubMalformed, "Report/advance payloads that failed to decode at the hub front (JSON or binary)."),
-	}
 }
 
 // ServeCoAP starts the hub's CoAP front end on addr (":0" picks a free
@@ -90,26 +74,12 @@ func ServeCoAP(h *Hub, addr string, opts ...FrontOption) (*Front, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	f := newFront(h, o.def)
-	srv, err := coap.ListenAndServe(addr, f.handle,
-		append([]coap.ServerOption{coap.WithTelemetry(h.Telemetry())}, o.coapOpts...)...)
-	if err != nil {
-		return nil, err
+	f := &Front{
+		h:         h,
+		def:       o.def,
+		malformed: h.Telemetry().Counter(metricHubMalformed, "Report/advance payloads that failed to decode at the hub front (JSON or binary)."),
 	}
-	f.srv = srv
-	return f, nil
-}
-
-// ServeCoAPConn starts the front end on an existing packet conn — e.g. a
-// chaos-wrapped one — and takes ownership of it.
-func ServeCoAPConn(h *Hub, conn net.PacketConn, cfg coap.ServerConfig, opts ...FrontOption) (*Front, error) {
-	var o frontOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	f := newFront(h, o.def)
-	srv, err := coap.Serve(conn, f.handle,
-		append([]coap.ServerOption{coap.WithServerConfig(cfg), coap.WithTelemetry(h.Telemetry())}, o.coapOpts...)...)
+	srv, err := coap.ListenAndServe(addr, f.handle, coap.WithTelemetry(h.Telemetry()))
 	if err != nil {
 		return nil, err
 	}

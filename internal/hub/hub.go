@@ -277,7 +277,6 @@ type options struct {
 	cpPath         func(home string) string
 	cpInterval     time.Duration
 	idle           time.Duration
-	tel            *telemetry.Registry
 	walDir         string
 	walSync        wal.SyncPolicy
 	maxPanics      int
@@ -333,13 +332,6 @@ func WithCheckpointInterval(d time.Duration) Option {
 // evicted home re-registers on demand and resumes from its checkpoint.
 func WithIdleEviction(d time.Duration) Option {
 	return func(o *options) { o.idle = d }
-}
-
-// WithTelemetry registers the hub's own instruments (dice_hub_*) against a
-// caller-owned registry instead of a fresh private one. Tenant pipelines
-// always get private registries; the hub merges them at exposition time.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(o *options) { o.tel = reg }
 }
 
 // WithWALDir gives every tenant a write-ahead log under dir/<home>/: ops
@@ -429,10 +421,7 @@ func New(opts ...Option) (*Hub, error) {
 	if o.restartBackoff <= 0 {
 		o.restartBackoff = 250 * time.Millisecond
 	}
-	tel := o.tel
-	if tel == nil {
-		tel = telemetry.NewRegistry()
-	}
+	tel := telemetry.NewRegistry()
 	h := &Hub{
 		tenants: make(map[string]*tenant),
 		evicted: make(map[string]bool),
