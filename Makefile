@@ -31,9 +31,12 @@ test:
 
 # perfbench is a nested module (replace repro => ../), so the root vet and
 # test never build it. Vet it and run its smoke test here, so an internal
-# API change cannot silently break the benchmark.
+# API change cannot silently break the benchmark. One iteration of each
+# ingest-path micro-benchmark (gateway, WAL, window builder) runs too, so
+# they cannot rot unnoticed either.
 bench-smoke:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gateway/ ./internal/wal/ ./internal/window/
 
 # The evaluation harness fans trials across goroutines; always race-check it.
 race:

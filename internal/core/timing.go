@@ -141,7 +141,7 @@ func (d *Detector) gapOutOfBand(ss *markov.SketchSet, from, to, gap int, edge st
 	if s == nil || s.Total() < DefaultTimingMinSamples {
 		return nil
 	}
-	lo, hi := s.Band(0, 1)
+	lo, hi := s.Band()
 	if markov.BucketFor(gap) <= hi+DefaultTimingSlackBuckets {
 		return nil
 	}

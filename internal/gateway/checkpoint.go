@@ -92,17 +92,18 @@ func (g *Gateway) ExportCheckpoint() *Checkpoint {
 		Builder:     g.builder.ExportState(),
 		WALSeq:      g.walSeq,
 	}
-	if len(g.lastSeen) > 0 {
-		cp.LastSeenMS = make(map[device.ID]int64, len(g.lastSeen))
-		for id, at := range g.lastSeen {
-			cp.LastSeenMS[id] = at.Milliseconds()
+	g.eachLive(func(id device.ID, s *liveState) {
+		if !s.seen {
+			return
 		}
-	}
-	for _, id := range sortedIDs(g.lastSeen) {
-		if g.dark[id] {
+		if cp.LastSeenMS == nil {
+			cp.LastSeenMS = make(map[device.ID]int64)
+		}
+		cp.LastSeenMS[id] = s.at.Milliseconds()
+		if s.dark {
 			cp.Dark = append(cp.Dark, id)
 		}
-	}
+	})
 	if g.adapter != nil {
 		ctx := g.det.Context()
 		var buf bytes.Buffer
@@ -153,16 +154,20 @@ func (g *Gateway) RestoreCheckpoint(cp *Checkpoint) error {
 	g.met.liveness.Store(cp.Stats.LivenessAlerts)
 	g.horizon = time.Duration(cp.HorizonMS) * time.Millisecond
 	g.streamNow = time.Duration(cp.StreamNowMS) * time.Millisecond
-	g.lastSeen = make(map[device.ID]time.Duration, len(cp.LastSeenMS))
+	clear(g.live)
+	g.liveExtra = nil
+	g.nDark = 0
 	for id, ms := range cp.LastSeenMS {
-		g.lastSeen[id] = time.Duration(ms) * time.Millisecond
+		s := g.liveSlot(id)
+		s.at, s.seen = time.Duration(ms)*time.Millisecond, true
 	}
-	g.liveIDs = sortedIDs(g.lastSeen)
-	g.dark = make(map[device.ID]bool, len(cp.Dark))
 	for _, id := range cp.Dark {
-		g.dark[id] = true
+		if s := g.liveSlot(id); !s.dark {
+			s.dark = true
+			g.nDark++
+		}
 	}
-	g.met.dark.Set(int64(len(g.dark)))
+	g.met.dark.Set(int64(g.nDark))
 	g.walSeq = cp.WALSeq
 	// Arm the liveness rebase: if the first post-restore clock movement
 	// jumps past the silence threshold, the gap was downtime, and last-seen

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -134,27 +135,26 @@ type Gateway struct {
 	// kept for the /alerts/last explain endpoint.
 	lastAlert *Alert
 
-	// Liveness tracking: stream time each device last reported at, the
-	// devices currently past the silence threshold, and the furthest
-	// stream time observed (events may run ahead of the /advance horizon).
-	// liveIDs caches lastSeen's keys in ascending order so the per-event
-	// silence sweep neither allocates nor re-sorts (lastSeen only ever
-	// grows; the cache is rebuilt on checkpoint restore).
+	// Liveness tracking: each device's silence-tracker entry, indexed by
+	// device ID over the registry (whose IDs are dense from 0), so walking
+	// live in index order visits devices in ascending ID order. The wire
+	// carries any int32, and IDs outside the registry are tracked too, in
+	// liveExtra (ascending by ID; only those IDs ever touch it). nDark
+	// counts the entries past the silence threshold; streamNow is the
+	// furthest stream time observed (events may run ahead of the /advance
+	// horizon).
 	liveThreshold time.Duration
-	lastSeen      map[device.ID]time.Duration
-	liveIDs       []device.ID
-	dark          map[device.ID]bool
+	live          []liveState
+	liveExtra     []liveEntry
+	nDark         int
 	streamNow     time.Duration
 
 	// Durability: ops append to the WAL (when attached) before mutating
 	// state; walSeq is the sequence number of the last op this gateway has
 	// logged or replayed, carried into checkpoints so replay can skip the
-	// covered prefix. walBuf and walPayloads are the reused encode buffers
-	// that keep the append path (single and batched) allocation-free.
-	wal         *wal.Log
-	walSeq      uint64
-	walBuf      []byte
-	walPayloads [][]byte
+	// covered prefix.
+	wal    *wal.Log
+	walSeq uint64
 
 	// Supervision: home names this gateway's tenant in dead-letter entries,
 	// ingestHook runs before any state mutation (fault-injection seam),
@@ -166,6 +166,20 @@ type Gateway struct {
 	deadLetter    *wal.DeadLetter
 	replaying     bool
 	rebasePending bool
+}
+
+// liveState is one device's silence-tracker entry: the stream time it last
+// reported at (meaningful once seen) and whether it is past the threshold.
+type liveState struct {
+	at   time.Duration
+	seen bool
+	dark bool
+}
+
+// liveEntry is a tracker entry for an ID outside the registry.
+type liveEntry struct {
+	id device.ID
+	liveState
 }
 
 // Option configures a Gateway at construction.
@@ -288,8 +302,7 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 		cfg:           o.cfg,
 		adapt:         o.adapt,
 		liveThreshold: o.liveness,
-		lastSeen:      make(map[device.ID]time.Duration),
-		dark:          make(map[device.ID]bool),
+		live:          make([]liveState, ctx.Layout().Registry().Len()),
 		wal:           o.wal,
 		home:          o.home,
 		ingestHook:    o.ingestHook,
@@ -369,7 +382,7 @@ func (g *Gateway) statsLocked() Stats {
 		Alerts:         g.met.alerts.Value(),
 		AlertsDropped:  g.met.alertsDropped.Value(),
 		LivenessAlerts: g.met.liveness.Value(),
-		DarkDevices:    int64(len(g.dark)),
+		DarkDevices:    int64(g.nDark),
 	}
 }
 
@@ -453,38 +466,36 @@ type DeviceLiveness struct {
 func (g *Gateway) Liveness() []DeviceLiveness {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]DeviceLiveness, 0, len(g.lastSeen))
-	for _, id := range sortedIDs(g.lastSeen) {
-		dl := DeviceLiveness{Device: id, LastSeen: g.lastSeen[id], Dark: g.dark[id]}
+	out := []DeviceLiveness{} // non-nil: an empty tracker encodes as [], not null
+	g.eachLive(func(id device.ID, s *liveState) {
+		if !s.seen {
+			return
+		}
+		dl := DeviceLiveness{Device: id, LastSeen: s.at, Dark: s.dark}
 		if dev, err := g.reg.Get(id); err == nil {
 			dl.Name = dev.Name
 		}
 		out = append(out, dl)
-	}
+	})
 	return out
 }
 
-// Ingest feeds one event. Completed windows are run through the detector
+// Ingest feeds one event: an IngestBatch of one, validated the same way
+// before anything is logged. Completed windows are run through the detector
 // immediately. With a WAL attached the event is made durable (per the sync
 // policy) before any state mutates, so a crash at any point either replays
-// the event or never acknowledged it.
+// the event or never acknowledged it. An event Ingest refuses leaves the
+// gateway and its WAL untouched.
 func (g *Gateway) Ingest(e event.Event) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e.At < g.horizon {
-		return fmt.Errorf("gateway: event at %s regresses behind %s", e.At, g.horizon)
-	}
-	if err := g.logRecordLocked(wal.IngestRecord(e)); err != nil {
-		return err
-	}
-	return g.ingestLocked(e)
+	evts := [1]event.Event{e}
+	return g.IngestBatch(evts[:])
 }
 
 // IngestBatch feeds a batch of events in one critical section: the whole
 // batch is validated first, logged to the WAL as one CRC frame (one write
-// + one sync-policy application), then applied event by event through the
-// same path Ingest uses. A crash mid-write loses the whole frame, so
-// recovery replays either all of the batch or none of it.
+// + one sync-policy application), then applied event by event through
+// ingestLocked, the path WAL replay uses too. A crash mid-write loses the
+// whole frame, so recovery replays either all of the batch or none of it.
 //
 // Validation must precede logging: a record that reaches the WAL will be
 // re-applied on replay regardless of what the live run returned, so any
@@ -499,20 +510,15 @@ func (g *Gateway) IngestBatch(evts []event.Event) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	idx := g.builder.CurrentIndex()
-	dur := g.builder.Duration()
-	for _, e := range evts {
-		if e.At < g.horizon {
-			return fmt.Errorf("gateway: event at %s regresses behind %s", e.At, g.horizon)
-		}
-		w := int(e.At / dur)
-		if w < idx {
-			return fmt.Errorf("gateway: event at %s regresses before window %d", e.At, idx)
-		}
-		idx = w
-	}
-	if err := g.logBatchLocked(evts); err != nil {
+	if err := g.validateLocked(evts); err != nil {
 		return err
+	}
+	if g.wal != nil {
+		seq, err := g.wal.AppendEvents(evts)
+		if err != nil {
+			return fmt.Errorf("gateway: wal append: %w", err)
+		}
+		g.walSeq = seq
 	}
 	var first error
 	for _, e := range evts {
@@ -521,6 +527,46 @@ func (g *Gateway) IngestBatch(evts []event.Event) error {
 		}
 	}
 	return first
+}
+
+// validateLocked refuses a batch holding an event behind the horizon, or
+// in a window before the open one or before an earlier event's: the rule
+// is that int(e.At/duration) never drops below the running window index.
+// [lo, next) are the stream times of the running window, so an event that
+// stays in it costs two comparisons; only one that moves to another window
+// pays the division.
+func (g *Gateway) validateLocked(evts []event.Event) error {
+	idx := g.builder.CurrentIndex()
+	dur := g.builder.Duration()
+	lo, next := windowSpan(idx, dur)
+	for i := range evts {
+		at := evts[i].At
+		if at < g.horizon {
+			return fmt.Errorf("gateway: event at %s regresses behind %s", at, g.horizon)
+		}
+		if at >= lo && at < next {
+			continue
+		}
+		w := int(at / dur)
+		if w < idx {
+			return fmt.Errorf("gateway: event at %s regresses before window %d", at, idx)
+		}
+		idx = w
+		lo, next = windowSpan(idx, dur)
+	}
+	return nil
+}
+
+// windowSpan returns the stream times [lo, next) whose window index is idx.
+// Integer division truncates toward zero, so a negative window (only a
+// hand-built checkpoint can hold one) is no such interval: it gets an
+// empty span, and every event takes the division.
+func windowSpan(idx int, dur time.Duration) (lo, next time.Duration) {
+	lo = time.Duration(idx) * dur
+	if idx < 0 {
+		return lo, lo
+	}
+	return lo, lo + dur
 }
 
 // ingestLocked applies one event to detector state. It is the shared path
@@ -535,13 +581,12 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 		}
 	}
 	g.met.events.Inc()
-	if _, seen := g.lastSeen[e.Device]; !seen {
-		g.liveIDs = insertSortedID(g.liveIDs, e.Device)
-	}
-	g.lastSeen[e.Device] = e.At
-	if g.dark[e.Device] {
-		delete(g.dark, e.Device) // a dark device that reports again has recovered
-		g.met.dark.Set(int64(len(g.dark)))
+	s := g.liveSlot(e.Device)
+	s.at, s.seen = e.At, true
+	if s.dark {
+		s.dark = false // a dark device that reports again has recovered
+		g.nDark--
+		g.met.dark.Set(int64(g.nDark))
 	}
 	g.observeClockLocked(e.At)
 	done, err := g.builder.Add(e)
@@ -602,53 +647,26 @@ func (g *Gateway) observeClockLocked(t time.Duration) {
 	}
 	if g.rebasePending && !g.replaying {
 		if delta := t - g.streamNow; g.liveThreshold > 0 && delta > g.liveThreshold {
-			for id := range g.lastSeen {
-				g.lastSeen[id] += delta
-			}
+			g.eachLive(func(_ device.ID, s *liveState) {
+				if s.seen {
+					s.at += delta
+				}
+			})
 		}
 		g.rebasePending = false
 	}
 	g.streamNow = t
 }
 
-// logRecordLocked appends one op to the WAL (no-op without one). The
-// record encodes into a reused buffer, so the hot path stays free of
-// steady-state allocations.
+// logRecordLocked appends one advance op to the WAL (no-op without one).
+// The record encodes into a stack buffer that Append copies, so the path
+// stays free of steady-state allocations.
 func (g *Gateway) logRecordLocked(rec wal.Record) error {
 	if g.wal == nil {
 		return nil
 	}
-	g.walBuf = rec.AppendTo(g.walBuf[:0])
-	seq, err := g.wal.Append(g.walBuf)
-	if err != nil {
-		return fmt.Errorf("gateway: wal append: %w", err)
-	}
-	g.walSeq = seq
-	return nil
-}
-
-// logBatchLocked logs one WAL record per event through one AppendBatch,
-// which packs them into a single frame under one header and CRC and
-// writes it at once. The records encode into one reused buffer, pre-grown
-// so the per-record payload slices stay valid, keeping the path
-// allocation-free at steady state.
-func (g *Gateway) logBatchLocked(evts []event.Event) error {
-	if g.wal == nil {
-		return nil
-	}
-	if need := len(evts) * wal.RecordSize; cap(g.walBuf) < need {
-		g.walBuf = make([]byte, 0, need)
-	}
-	buf := g.walBuf[:0]
-	payloads := g.walPayloads[:0]
-	for _, e := range evts {
-		off := len(buf)
-		buf = wal.IngestRecord(e).AppendTo(buf)
-		payloads = append(payloads, buf[off:])
-	}
-	g.walBuf = buf
-	g.walPayloads = payloads
-	seq, err := g.wal.AppendBatch(payloads)
+	var buf [wal.RecordSize]byte
+	seq, err := g.wal.Append(rec.AppendTo(buf[:0]))
 	if err != nil {
 		return fmt.Errorf("gateway: wal append: %w", err)
 	}
@@ -803,14 +821,15 @@ func (g *Gateway) checkLivenessLocked() {
 	if g.liveThreshold <= 0 {
 		return
 	}
-	for _, id := range g.liveIDs {
-		last := g.lastSeen[id]
-		if g.dark[id] || g.streamNow-last <= g.liveThreshold {
-			continue
+	g.eachLive(func(id device.ID, s *liveState) {
+		if !s.seen || s.dark || g.streamNow-s.at <= g.liveThreshold {
+			return
 		}
-		g.dark[id] = true
-		g.met.dark.Set(int64(len(g.dark)))
+		s.dark = true
+		g.nDark++
+		g.met.dark.Set(int64(g.nDark))
 		g.met.liveness.Inc()
+		last := s.at
 		out := Alert{
 			Cause:      core.CheckLiveness,
 			DetectedAt: last + g.liveThreshold,
@@ -837,33 +856,41 @@ func (g *Gateway) checkLivenessLocked() {
 			}},
 		}
 		g.deliverLocked(out)
-	}
+	})
 }
 
-func sortedIDs(m map[device.ID]time.Duration) []device.ID {
-	out := make([]device.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// liveSlot returns id's tracker entry; an ID outside the registry gets
+// its entry in the overflow, created on first use.
+func (g *Gateway) liveSlot(id device.ID) *liveState {
+	if uint(id) < uint(len(g.live)) {
+		return &g.live[id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return g.extraSlot(id)
 }
 
-// insertSortedID inserts id into an ascending slice, keeping it sorted.
-// Devices register once each, so the quadratic worst case is bounded by
-// the home's device count — and the hot path pays nothing.
-func insertSortedID(ids []device.ID, id device.ID) []device.ID {
-	pos := len(ids)
-	for i, v := range ids {
-		if id < v {
-			pos = i
-			break
-		}
+// extraSlot is liveSlot's overflow path, kept out of line so that liveSlot
+// inlines into the per-event path.
+func (g *Gateway) extraSlot(id device.ID) *liveState {
+	i := sort.Search(len(g.liveExtra), func(i int) bool { return g.liveExtra[i].id >= id })
+	if i == len(g.liveExtra) || g.liveExtra[i].id != id {
+		g.liveExtra = slices.Insert(g.liveExtra, i, liveEntry{id: id})
 	}
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	return ids
+	return &g.liveExtra[i].liveState
+}
+
+// eachLive visits every tracker entry in ascending ID order: the overflow's
+// negative IDs, the registry's table, then the overflow's IDs past it.
+func (g *Gateway) eachLive(fn func(device.ID, *liveState)) {
+	i := 0
+	for ; i < len(g.liveExtra) && g.liveExtra[i].id < 0; i++ {
+		fn(g.liveExtra[i].id, &g.liveExtra[i].liveState)
+	}
+	for id := range g.live {
+		fn(device.ID(id), &g.live[id])
+	}
+	for ; i < len(g.liveExtra); i++ {
+		fn(g.liveExtra[i].id, &g.liveExtra[i].liveState)
+	}
 }
 
 // processLocked runs completed windows through the detector. Processed

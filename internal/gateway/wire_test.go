@@ -27,7 +27,7 @@ func TestIngestBatchZeroAllocSameWindow(t *testing.T) {
 	}
 	payload := wire.AppendReport(nil, batch)
 	scratch := make([]event.Event, 0, len(batch))
-	// Warm up: first contact inserts the device into lastSeen/liveIDs.
+	// Warm up: the first batch opens the window.
 	if err := gw.IngestBatch(batch); err != nil {
 		t.Fatal(err)
 	}

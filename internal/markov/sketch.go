@@ -101,41 +101,19 @@ func (s *IntervalSketch) Buckets() []uint32 {
 	return out
 }
 
-// Band returns the bucket indices [lo, hi] spanning the quantile range
-// [qLo, qHi] of the observed gaps: lo is the first bucket whose cumulative
-// count reaches qLo of the total, hi the first reaching qHi. With qLo=0 and
-// qHi=1 the band is simply the occupied range. An empty sketch returns
-// (0, SketchBuckets-1): with no evidence, every gap is in band.
-func (s *IntervalSketch) Band(qLo, qHi float64) (lo, hi int) {
-	total := s.Total()
-	if total == 0 {
+// Band returns the bucket indices [lo, hi] of the first and last occupied
+// buckets: the range of gaps the sketch has observed. An empty sketch
+// returns (0, SketchBuckets-1): with no evidence, every gap is in band.
+func (s *IntervalSketch) Band() (lo, hi int) {
+	if s.Total() == 0 {
 		return 0, SketchBuckets - 1
 	}
-	if qLo < 0 {
-		qLo = 0
+	for s.buckets[lo] == 0 {
+		lo++
 	}
-	if qHi > 1 || qHi <= 0 {
-		qHi = 1
-	}
-	needLo := qLo * float64(total)
-	needHi := qHi * float64(total)
-	lo, hi = -1, SketchBuckets-1
-	var cum float64
-	for b := 0; b < SketchBuckets; b++ {
-		if s.buckets[b] == 0 {
-			continue
-		}
-		cum += float64(s.buckets[b])
-		if lo < 0 && cum > needLo {
-			lo = b
-		}
-		if cum >= needHi {
-			hi = b
-			break
-		}
-	}
-	if lo < 0 {
-		lo = hi
+	hi = SketchBuckets - 1
+	for s.buckets[hi] == 0 {
+		hi--
 	}
 	return lo, hi
 }

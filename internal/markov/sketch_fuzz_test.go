@@ -49,7 +49,7 @@ func FuzzIntervalSketch(f *testing.F) {
 		if total != s.Total() {
 			t.Fatalf("Total %d != bucket sum %d", s.Total(), total)
 		}
-		lo, hi := s.Band(0, 1)
+		lo, hi := s.Band()
 		if lo < 0 || hi >= SketchBuckets || lo > hi {
 			t.Fatalf("band [%d, %d] out of range", lo, hi)
 		}

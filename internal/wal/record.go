@@ -46,9 +46,7 @@ type Record struct {
 // recordSize is the fixed encoded payload size: kind + at + device + value.
 const recordSize = 1 + 8 + 4 + 8
 
-// RecordSize is recordSize for callers that pre-size encode buffers (the
-// gateway's batched append path grows one buffer for a whole batch up
-// front, so the per-record payload slices stay valid).
+// RecordSize is recordSize for callers that pre-size encode buffers.
 const RecordSize = recordSize
 
 // IngestRecord wraps an event for the log.
@@ -67,15 +65,21 @@ func (r Record) Event() event.Event {
 }
 
 // AppendTo encodes the record onto buf (reusing its capacity) and returns
-// the extended slice, so the gateway's hot path appends with zero
+// the extended slice, so a caller that reuses buf appends with zero
 // steady-state allocations.
 func (r Record) AppendTo(buf []byte) []byte {
 	var b [recordSize]byte
+	r.put(b[:])
+	return append(buf, b[:]...)
+}
+
+// put encodes the record into b[:recordSize].
+func (r Record) put(b []byte) {
+	_ = b[recordSize-1]
 	b[0] = byte(r.Kind)
 	binary.LittleEndian.PutUint64(b[1:9], uint64(r.At))
 	binary.LittleEndian.PutUint32(b[9:13], uint32(int32(r.Device)))
 	binary.LittleEndian.PutUint64(b[13:21], math.Float64bits(r.Value))
-	return append(buf, b[:]...)
 }
 
 // DecodeRecord parses a payload written by AppendTo.

@@ -10,7 +10,9 @@
 // number they hold (%016x.wal). Each segment starts with an 8-byte magic
 // (DICEWAL2) + 8-byte first-seq header, followed by frames. One AppendBatch
 // writes one frame (more only when its records overflow maxFrameBody), and
-// a frame packs its records behind varint lengths:
+// a frame packs its records behind varint lengths. AppendEvents is the
+// ingest entry point: it writes the same frames as AppendBatch of the
+// events' ingest records, encoding each record in place in the frame.
 //
 //	[firstSeq:8][bodyLen:4][crc:4][body:bodyLen]   body = n × [uvarint len][payload]
 //
@@ -33,11 +35,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/event"
 	"repro/internal/telemetry"
 )
 
@@ -481,31 +485,72 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	if err := l.ensureActiveLocked(); err != nil {
 		return 0, err
 	}
-	seq := l.seq
-	buf := openFrame(l.scratch[:0], seq+1)
+	buf := openFrame(l.scratch[:0], l.seq+1)
 	frame := 0 // offset of the open frame's header in buf
-	for _, p := range payloads {
-		body := len(buf) - frame - frameHeader
-		if body+binary.MaxVarintLen32+len(p) > maxFrameBody {
+	for i, p := range payloads {
+		if len(buf)-frame-frameHeader+binary.MaxVarintLen32+len(p) > maxFrameBody {
 			sealFrame(buf[frame:])
 			frame = len(buf)
-			buf = openFrame(buf, seq+1)
+			buf = openFrame(buf, l.seq+1+uint64(i))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(p)))
 		buf = append(buf, p...)
-		seq++
 	}
 	sealFrame(buf[frame:])
+	return l.commitLocked(buf, len(payloads))
+}
+
+// AppendEvents logs one ingest record per event, exactly as AppendBatch of
+// their IngestRecord(e).AppendTo payloads would — the same frames, byte for
+// byte — but encodes each record straight into the frame buffer instead of
+// copying it there from a payload slice. It is the gateway's batch ingest
+// path.
+func (l *Log) AppendEvents(evts []event.Event) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
+	}
+	if len(evts) == 0 {
+		return l.seq, nil
+	}
+	if err := l.ensureActiveLocked(); err != nil {
+		return 0, err
+	}
+	// recordSize < 128, so a record's uvarint length prefix is one byte.
+	const packed = 1 + recordSize
+	buf := openFrame(l.scratch[:0], l.seq+1)
+	frame := 0 // offset of the open frame's header in buf
+	for i := range evts {
+		if len(buf)-frame-frameHeader+binary.MaxVarintLen32+recordSize > maxFrameBody {
+			sealFrame(buf[frame:])
+			frame = len(buf)
+			buf = openFrame(buf, l.seq+1+uint64(i))
+		}
+		n := len(buf)
+		buf = slices.Grow(buf, packed)[:n+packed]
+		buf[n] = recordSize
+		IngestRecord(evts[i]).put(buf[n+1:])
+	}
+	sealFrame(buf[frame:])
+	return l.commitLocked(buf, len(evts))
+}
+
+// commitLocked is the shared tail of the append paths: it writes buf, the
+// sealed frames of the next `records` records, then does the sequence, size
+// and metric bookkeeping and applies the sync policy and rotation. buf
+// becomes the log's scratch for the next append.
+func (l *Log) commitLocked(buf []byte, records int) (uint64, error) {
 	l.scratch = buf[:0]
 	if _, err := l.active.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.seq = seq
+	l.seq += uint64(records)
 	tail := &l.segs[len(l.segs)-1]
 	tail.size += int64(len(buf))
-	l.met.appends.Add(int64(len(payloads)))
+	l.met.appends.Add(int64(records))
 	l.met.bytes.Add(int64(len(buf)))
-	l.unsynced += len(payloads)
+	l.unsynced += records
 	switch l.opts.Sync {
 	case SyncAlways:
 		if err := l.syncLocked(); err != nil {
@@ -523,7 +568,7 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	return seq, nil
+	return l.seq, nil
 }
 
 // openFrame appends the header of a frame whose first record is firstSeq;
