@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check fmt vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
 check: fmt vet staticcheck build bench-smoke race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
 
@@ -96,11 +96,6 @@ bench-eval:
 	$(GO) test -bench 'BenchmarkEvaluateParallel$$' -benchtime 2x -run TestBenchFixtures .
 	$(GO) run ./cmd/dice-eval -exp latency -trials 8 -benchjson BENCH_eval.json
 
-# Multi-home hub throughput (binary batch path vs JSON baseline)
-# → BENCH_hub.json.
-bench-hub:
-	$(GO) run ./cmd/dice-eval -exp hub -hubjson BENCH_hub.json
-
 # WAL fsync pricing + crash-recovery timing → BENCH_recovery.json.
 bench-recovery:
 	$(GO) run ./cmd/dice-eval -exp recovery -recoveryjson BENCH_recovery.json
@@ -131,8 +126,8 @@ bench-scenarios:
 	$(GO) run ./cmd/dice-eval -exp scenarios -scenariosjson BENCH_scenarios.json
 
 # Short fuzz passes over the wire decoders (binary batch + CoAP), the
-# interval-sketch codec, the WAL segment reader, and the checkpoint and
-# context envelopes. Long campaigns run the same targets with a bigger
+# interval-sketch codec, the WAL segment reader, the checkpoint and
+# context envelopes, and the adapter state a checkpoint restores. Long campaigns run the same targets with a bigger
 # -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 5s ./internal/wire/
@@ -141,14 +136,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSegment$$' -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/gateway/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadContext$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz 'FuzzAdapterState$$' -fuzztime 5s ./internal/core/
 
-# CI perf gate: regenerate the hub benchmark and fail on a >15% regression
-# of the binary-path speedup vs the committed BENCH_hub.json. The gate
-# compares the binary/JSON ratio, not raw events/sec, so it is stable
-# across machines of different speeds.
+# CI perf gate: regenerate the cluster, drift, timing and scenario
+# benchmarks and compare each against its committed BENCH_*.json with
+# dice-benchdiff. Every gate reads a same-process ratio or a deterministic
+# count, not raw events/sec, so it is stable across machines of different
+# speeds.
 perf-gate:
-	$(GO) run ./cmd/dice-eval -exp hub -hubjson /tmp/dice-benchdiff-hub.json >/dev/null
-	$(GO) run ./cmd/dice-benchdiff -mode hub -baseline BENCH_hub.json -fresh /tmp/dice-benchdiff-hub.json
 	$(GO) run ./cmd/dice-eval -exp cluster -clusterjson /tmp/dice-benchdiff-cluster.json >/dev/null
 	$(GO) run ./cmd/dice-benchdiff -mode cluster -baseline BENCH_cluster.json -fresh /tmp/dice-benchdiff-cluster.json -tolerance 0.4
 	$(GO) run ./cmd/dice-eval -exp drift -driftjson /tmp/dice-benchdiff-drift.json >/dev/null

@@ -4,8 +4,6 @@
 //
 // Usage:
 //
-//	dice-benchdiff -mode hub     -baseline BENCH_hub.json     -fresh /tmp/fresh.json [-tolerance 0.15]
-//	dice-benchdiff -mode eval    -baseline BENCH_eval.json    -fresh /tmp/fresh.json [-tolerance 0.15]
 //	dice-benchdiff -mode cluster -baseline BENCH_cluster.json -fresh /tmp/fresh.json [-tolerance 0.15]
 //	dice-benchdiff -mode drift   -baseline BENCH_drift.json   -fresh /tmp/fresh.json [-tolerance 0.15]
 //	dice-benchdiff -mode timing  -baseline BENCH_timing.json  -fresh /tmp/fresh.json [-tolerance 0.15]
@@ -16,19 +14,10 @@
 // baseline, so the gate prints a notice and passes (the next commit of
 // the fresh file becomes the baseline). A missing fresh file still fails.
 //
-// Raw events/sec depends on the machine, so the gate compares
-// machine-normalized ratios that cancel hardware speed out of the
+// -mode is required. Raw events/sec depends on the machine, so the gate
+// compares machine-normalized ratios that cancel hardware speed out of the
 // comparison:
 //
-//   - hub: the binary-path speedup (events_per_sec / json_events_per_sec).
-//     Both passes run in the same process on the same machine, so their
-//     ratio moves only when the relative cost of the binary ingest path
-//     changes — which is exactly the regression the gate watches for. The
-//     fresh run must also report bit_identical detection output.
-//   - eval: replay wall-clock normalized by training wall-clock
-//     (wall_clock_ms / Σ train_ms). Training is a pure-compute yardstick
-//     that rescales with the machine; the ratio tracks the evaluation hot
-//     path relative to it.
 //   - cluster: federation efficiency (events_per_sec / solo_events_per_sec).
 //     Both runs replay the same streams in the same process, so the ratio
 //     isolates the overhead of HTTP routing, proxying, and migration from
@@ -62,22 +51,6 @@ import (
 	"fmt"
 	"os"
 )
-
-// hubBench mirrors the BENCH_hub.json fields the gate reads.
-type hubBench struct {
-	EventsPerSec     float64 `json:"events_per_sec"`
-	JSONEventsPerSec float64 `json:"json_events_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	BitIdentical     bool    `json:"bit_identical"`
-}
-
-// evalBench mirrors the BENCH_eval.json fields the gate reads.
-type evalBench struct {
-	WallClockMS float64 `json:"wall_clock_ms"`
-	Datasets    []struct {
-		TrainMS float64 `json:"train_ms"`
-	} `json:"datasets"`
-}
 
 // clusterBench mirrors the BENCH_cluster.json fields the gate reads.
 type clusterBench struct {
@@ -134,7 +107,7 @@ type scenariosBench struct {
 }
 
 func main() {
-	mode := flag.String("mode", "hub", "which benchmark schema to compare: hub or eval")
+	mode := flag.String("mode", "", "which benchmark schema to compare: cluster, drift, timing or scenarios (required)")
 	baseline := flag.String("baseline", "", "committed baseline JSON")
 	fresh := flag.String("fresh", "", "freshly generated JSON")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression before failing")
@@ -145,7 +118,19 @@ func main() {
 	}
 }
 
+// diffs maps each -mode to its gate.
+var diffs = map[string]func(baseline, fresh string, tolerance float64) error{
+	"cluster":   diffCluster,
+	"drift":     diffDrift,
+	"timing":    diffTiming,
+	"scenarios": diffScenarios,
+}
+
 func run(mode, baseline, fresh string, tolerance float64) error {
+	diff, ok := diffs[mode]
+	if !ok {
+		return fmt.Errorf("-mode %q: want cluster, drift, timing or scenarios", mode)
+	}
 	if baseline == "" || fresh == "" {
 		return fmt.Errorf("both -baseline and -fresh are required")
 	}
@@ -161,22 +146,7 @@ func run(mode, baseline, fresh string, tolerance float64) error {
 		fmt.Printf("%s perf gate: no baseline at %s yet, skipping comparison (commit the fresh file to create one)\n", mode, baseline)
 		return nil
 	}
-	switch mode {
-	case "hub":
-		return diffHub(baseline, fresh, tolerance)
-	case "eval":
-		return diffEval(baseline, fresh, tolerance)
-	case "cluster":
-		return diffCluster(baseline, fresh, tolerance)
-	case "drift":
-		return diffDrift(baseline, fresh, tolerance)
-	case "timing":
-		return diffTiming(baseline, fresh, tolerance)
-	case "scenarios":
-		return diffScenarios(baseline, fresh, tolerance)
-	default:
-		return fmt.Errorf("unknown mode %q (want hub, eval, cluster, drift, timing, or scenarios)", mode)
-	}
+	return diff(baseline, fresh, tolerance)
 }
 
 func load(path string, v any) error {
@@ -186,59 +156,6 @@ func load(path string, v any) error {
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	return nil
-}
-
-// diffHub gates on the binary/JSON speedup ratio: higher is better, and a
-// fresh ratio more than tolerance below the baseline fails.
-func diffHub(baseline, fresh string, tolerance float64) error {
-	var base, cur hubBench
-	if err := load(baseline, &base); err != nil {
-		return err
-	}
-	if err := load(fresh, &cur); err != nil {
-		return err
-	}
-	if base.Speedup <= 0 || cur.Speedup <= 0 {
-		return fmt.Errorf("speedup missing: baseline=%v fresh=%v (regenerate with dice-eval -exp hub)", base.Speedup, cur.Speedup)
-	}
-	if !cur.BitIdentical {
-		return fmt.Errorf("fresh run reports bit_identical=false: binary and JSON wire paths diverged")
-	}
-	floor := base.Speedup * (1 - tolerance)
-	fmt.Printf("hub perf gate: baseline speedup %.2fx, fresh %.2fx (floor %.2fx, raw %s events/sec fresh vs %s baseline)\n",
-		base.Speedup, cur.Speedup, floor, fmtRate(cur.EventsPerSec), fmtRate(base.EventsPerSec))
-	if cur.Speedup < floor {
-		return fmt.Errorf("binary ingest speedup regressed: %.2fx < %.2fx (baseline %.2fx - %d%%)",
-			cur.Speedup, floor, base.Speedup, int(tolerance*100))
-	}
-	return nil
-}
-
-// diffEval gates on wall-clock normalized by training time: lower is
-// better, and a fresh ratio more than tolerance above the baseline fails.
-func diffEval(baseline, fresh string, tolerance float64) error {
-	var base, cur evalBench
-	if err := load(baseline, &base); err != nil {
-		return err
-	}
-	if err := load(fresh, &cur); err != nil {
-		return err
-	}
-	baseRatio, err := evalRatio(base, baseline)
-	if err != nil {
-		return err
-	}
-	curRatio, err := evalRatio(cur, fresh)
-	if err != nil {
-		return err
-	}
-	ceil := baseRatio * (1 + tolerance)
-	fmt.Printf("eval perf gate: baseline wall/train ratio %.3f, fresh %.3f (ceiling %.3f)\n", baseRatio, curRatio, ceil)
-	if curRatio > ceil {
-		return fmt.Errorf("evaluation wall-clock regressed: ratio %.3f > %.3f (baseline %.3f + %d%%)",
-			curRatio, ceil, baseRatio, int(tolerance*100))
 	}
 	return nil
 }
@@ -383,17 +300,6 @@ func diffScenarios(baseline, fresh string, tolerance float64) error {
 			cur.Storm2AllNamedPct, floor, base.Storm2AllNamedPct, int(tolerance*100))
 	}
 	return nil
-}
-
-func evalRatio(b evalBench, path string) (float64, error) {
-	var train float64
-	for _, d := range b.Datasets {
-		train += d.TrainMS
-	}
-	if train <= 0 || b.WallClockMS <= 0 {
-		return 0, fmt.Errorf("%s: missing wall_clock_ms or train_ms (regenerate with dice-eval)", path)
-	}
-	return b.WallClockMS / train, nil
 }
 
 func fmtRate(v float64) string {

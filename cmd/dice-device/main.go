@@ -8,11 +8,9 @@
 //	            [-from 300] [-hours 6] [-speed 600]
 //	            [-fault fail-stop:light-kitchen:60]
 //	            [-chaos seed=42,drop=0.1,dup=0.05,reorder=0.02,delay=5ms]
-//	            [-wire binary|json] [-retries 4]
+//	            [-retries 4]
 //
-// -wire selects the report encoding: "binary" (the default) sends DWB1
-// batch payloads through the gateway's pooled zero-alloc decode path;
-// "json" sends the legacy JSON arrays. Detection output is identical.
+// Readings go out as DWB1 batch payloads (internal/wire), 16 per POST.
 //
 // -speed is the replay acceleration (600 = one recorded hour per six wall
 // seconds; 0 = as fast as possible). -chaos wraps the CoAP link with
@@ -55,7 +53,6 @@ func run() error {
 	chaosSpec := flag.String("chaos", "", "inject transport faults, e.g. seed=42,drop=0.1,dup=0.05")
 	homeID := flag.String("home", "", "tenant home ID behind a multi-home hub (reports to /report/<home>)")
 	retries := flag.Int("retries", 0, "reissue a timed-out exchange up to N times with exponential backoff + jitter")
-	wireFmt := flag.String("wire", "binary", "wire encoding for reports: binary (DWB1 batches) or json (legacy)")
 	flag.Parse()
 
 	if *dataDir == "" {
@@ -101,14 +98,6 @@ func run() error {
 	}
 	agent.Home = *homeID
 	agent.Retries = *retries
-	switch *wireFmt {
-	case "binary":
-		agent.Format = gateway.WireBinary
-	case "json":
-		agent.Format = gateway.WireJSON
-	default:
-		return fmt.Errorf("bad -wire %q, want binary or json", *wireFmt)
-	}
 	defer agent.Close()
 
 	obs, err := ds.Windows()

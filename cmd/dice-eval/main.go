@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	dice-eval [-exp all|datasets|accuracy|latency|checks|degree|compute|ratio|actuators|multifault|ablations|baselines|hub|recovery|cluster|drift|timing|scenarios]
+//	dice-eval [-exp all|datasets|accuracy|latency|checks|degree|compute|ratio|actuators|multifault|ablations|baselines|recovery|cluster|drift|timing|scenarios]
 //	          [-datasets houseA,twor,...] [-trials N] [-seed N] [-csv]
 //	          [-workers N] [-benchjson FILE]
-//	          [-hub-homes M] [-hub-shards S] [-hub-hours H] [-hubjson FILE]
 //	          [-recovery-hours H] [-recoveryjson FILE]
 //	          [-cluster-nodes N] [-cluster-homes M] [-cluster-hours H] [-clusterjson FILE]
 //	          [-drift-days D] [-drift-extra A] [-drift-admit N] [-driftjson FILE]
@@ -23,10 +22,6 @@
 // changes. Every -*json flag is off by default, so a plain run never
 // overwrites the committed BENCH_*.json baselines; the Makefile's bench-*
 // targets name their file explicitly.
-//
-// `-exp hub` benchmarks the multi-tenant hub instead: M homes replay
-// concurrent streams through one sharded hub, and the throughput plus
-// per-shard queue tallies land in `-hubjson` (BENCH_hub.json).
 //
 // `-exp recovery` prices the write-ahead log (ingest throughput per fsync
 // policy against a no-WAL baseline) and times a simulated crash recovery
@@ -96,10 +91,6 @@ func run() error {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS); results are identical at any count")
 	benchJSON := flag.String("benchjson", "", "write wall-clock/per-stage timings to this JSON file (empty = off)")
-	hubHomes := flag.Int("hub-homes", 8, "concurrent homes for -exp hub")
-	hubShards := flag.Int("hub-shards", 4, "hub worker pool size for -exp hub")
-	hubHours := flag.Int("hub-hours", 2, "replayed stream hours per home for -exp hub")
-	hubJSON := flag.String("hubjson", "", "write the -exp hub result to this JSON file (empty = off)")
 	recHours := flag.Int("recovery-hours", 2, "replayed stream hours for -exp recovery")
 	recJSON := flag.String("recoveryjson", "", "write the -exp recovery result to this JSON file (empty = off)")
 	clusterNodes := flag.Int("cluster-nodes", 3, "federated hub nodes for -exp cluster (the last one is killed mid-stream)")
@@ -180,13 +171,6 @@ func run() error {
 			key = a
 		}
 		return emit(tables[key])
-	case "hub":
-		return runHubBench(eval.HubBench{
-			Homes:  *hubHomes,
-			Shards: *hubShards,
-			Hours:  *hubHours,
-			Seed:   *seed,
-		}, *hubJSON)
 	case "recovery":
 		return runRecoveryBench(eval.RecoveryBench{
 			Hours: *recHours,
@@ -315,26 +299,6 @@ func writeJSON(path, what string, v any) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
-}
-
-// runHubBench measures multi-tenant throughput: M homes replayed
-// concurrently through one hub, per-shard ops, total events/sec. The
-// result lands in jsonPath when it is set.
-func runHubBench(o eval.HubBench, jsonPath string) error {
-	res, err := eval.RunHubBench(o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("hub bench: %d homes x %dh on %d shards\n", res.Homes, res.Hours, res.Shards)
-	fmt.Printf("  train   %8.1f ms (shared context)\n", res.TrainMS)
-	fmt.Printf("  replay  %8.1f ms  (%d events, %d windows, %d alerts; binary batches of %d)\n",
-		res.ReplayMS, res.Events, res.Windows, res.Alerts, res.BatchSize)
-	fmt.Printf("  rate    %8.0f events/sec  (JSON baseline %8.0f, speedup %.2fx, bit-identical=%v)\n",
-		res.EventsPerSec, res.JSONEventsPerSec, res.Speedup, res.BitIdentical)
-	for _, s := range res.PerShard {
-		fmt.Printf("  shard %d %8d ops, %d shed\n", s.Shard, s.Ops, s.Shed)
-	}
-	return writeJSON(jsonPath, "hub bench", res)
 }
 
 // runClusterBench federates N in-process hub nodes, replays every home's

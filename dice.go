@@ -151,7 +151,7 @@ type (
 	// TenantAlert is a gateway alert tagged with its home.
 	TenantAlert = hub.TenantAlert
 	// Event is one raw timestamped device reading, the unit of hub
-	// ingestion (Hub.Ingest / Hub.TryIngest).
+	// ingestion (Hub.Ingest / Hub.IngestBatch).
 	Event = event.Event
 )
 

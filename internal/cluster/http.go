@@ -159,7 +159,7 @@ func (n *Node) applyIngest(w http.ResponseWriter, home string, payload []byte) {
 		// Mid-migration (or it just moved): nothing was applied; the
 		// client's retry re-routes to the new owner.
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, hub.ErrShed), errors.Is(err, hub.ErrDeadline), errors.Is(err, hub.ErrClosed):
+	case errors.Is(err, hub.ErrDeadline), errors.Is(err, hub.ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)

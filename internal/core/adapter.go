@@ -521,16 +521,7 @@ func (a *Adapter) admit() bool {
 		if n < a.cfg.admitAfter {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			switch k.kind {
-			case CheckG2G:
-				a.cb.ObserveG2G(k.from, k.to)
-			case CheckG2A:
-				a.cb.ObserveG2A(k.from, k.to)
-			case CheckA2G:
-				a.cb.ObserveA2G(k.from, k.to)
-			}
-		}
+		a.observeN(k.kind, k.from, k.to, int64(n))
 		delete(a.edges, k)
 		a.edgesAdmitted++
 		a.met.edgesAdmitted.Inc()
@@ -544,13 +535,8 @@ func (a *Adapter) admit() bool {
 // admitted earlier) are dropped: if they earn admission later, the edge
 // re-accumulates through the unseen-transition path.
 func (a *Adapter) wireGroup(id int, p *pendingSet, admitted map[string]int) {
-	observeN := func(fn func(int, int), from, to int, n int64) {
-		for i := int64(0); i < n; i++ {
-			fn(from, to)
-		}
-	}
 	for from, n := range p.preds {
-		observeN(a.cb.ObserveG2G, from, id, n)
+		a.observeN(CheckG2G, from, id, n)
 	}
 	for key, n := range p.predKeys {
 		from, ok := admitted[key]
@@ -560,17 +546,31 @@ func (a *Adapter) wireGroup(id int, p *pendingSet, admitted map[string]int) {
 			}
 		}
 		if ok {
-			observeN(a.cb.ObserveG2G, from, id, n)
+			a.observeN(CheckG2G, from, id, n)
 		}
 	}
 	for to, n := range p.succs {
-		observeN(a.cb.ObserveG2G, id, to, n)
+		a.observeN(CheckG2G, id, to, n)
 	}
 	for slot, n := range p.predActs {
-		observeN(a.cb.ObserveA2G, slot, id, n)
+		a.observeN(CheckA2G, slot, id, n)
 	}
 	for slot, n := range p.actsAfter {
-		observeN(a.cb.ObserveG2A, id, slot, n)
+		a.observeN(CheckG2A, id, slot, n)
+	}
+}
+
+// observeN folds n sightings of one transition into the working copy in
+// one step, so the cost of admission does not grow with a count restored
+// from a checkpoint.
+func (a *Adapter) observeN(kind CheckKind, from, to int, n int64) {
+	switch kind {
+	case CheckG2G:
+		a.cb.ctx.g2g.ObserveN(from, to, n)
+	case CheckG2A:
+		a.cb.ctx.g2a.ObserveN(from, to, n)
+	case CheckA2G:
+		a.cb.ctx.a2g.ObserveN(from, to, n)
 	}
 }
 

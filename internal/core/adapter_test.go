@@ -35,7 +35,7 @@ func newTestAdapter(t testing.TB, ctx *Context, opts ...AdapterOption) *Adapter 
 // windows before, a violating window on the set itself, and an identifying
 // (episode in flight) known window after it. Returns the last published
 // context, if any.
-func feedAdmissionCycle(t *testing.T, a *Adapter, l *window.Layout, idx *int) *Context {
+func feedAdmissionCycle(t testing.TB, a *Adapter, l *window.Layout, idx *int) *Context {
 	t.Helper()
 	var pub *Context
 	steps := []struct {

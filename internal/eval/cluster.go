@@ -65,27 +65,33 @@ func (o ClusterBench) normalize() ClusterBench {
 // machine-normalized number the perf gate tracks. BitIdentical reports
 // whether every home's final counters matched solo despite the drill.
 type ClusterBenchResult struct {
-	Nodes             int             `json:"nodes"`
-	Homes             int             `json:"homes"`
-	Hours             int             `json:"hours_per_home"`
-	BatchSize         int             `json:"batch_size"`
-	TrainMS           float64         `json:"train_ms"`
-	WallClockMS       float64         `json:"wall_clock_ms"`
-	SoloWallClockMS   float64         `json:"solo_wall_clock_ms"`
-	MigrationMS       float64         `json:"migration_ms"`
-	FailoverDetectMS  float64         `json:"failover_detect_ms"`
-	FailoverRecoverMS float64         `json:"failover_recover_ms"`
-	Events            int64           `json:"events"`
-	Alerts            int64           `json:"alerts"`
-	EventsPerSec      float64         `json:"events_per_sec"`
-	SoloEventsPerSec  float64         `json:"solo_events_per_sec"`
-	Efficiency        float64         `json:"efficiency"`
-	Handoffs          int64           `json:"handoffs"`
-	Failovers         int64           `json:"failovers"`
-	Replacements      int64           `json:"replacements"`
-	Retries           int64           `json:"retries"`
-	BitIdentical      bool            `json:"bit_identical"`
-	PerHome           []HubHomeResult `json:"per_home"`
+	Nodes             int          `json:"nodes"`
+	Homes             int          `json:"homes"`
+	Hours             int          `json:"hours_per_home"`
+	BatchSize         int          `json:"batch_size"`
+	TrainMS           float64      `json:"train_ms"`
+	WallClockMS       float64      `json:"wall_clock_ms"`
+	SoloWallClockMS   float64      `json:"solo_wall_clock_ms"`
+	MigrationMS       float64      `json:"migration_ms"`
+	FailoverDetectMS  float64      `json:"failover_detect_ms"`
+	FailoverRecoverMS float64      `json:"failover_recover_ms"`
+	Events            int64        `json:"events"`
+	Alerts            int64        `json:"alerts"`
+	EventsPerSec      float64      `json:"events_per_sec"`
+	SoloEventsPerSec  float64      `json:"solo_events_per_sec"`
+	Efficiency        float64      `json:"efficiency"`
+	Handoffs          int64        `json:"handoffs"`
+	Failovers         int64        `json:"failovers"`
+	Replacements      int64        `json:"replacements"`
+	Retries           int64        `json:"retries"`
+	BitIdentical      bool         `json:"bit_identical"`
+	PerHome           []HomeResult `json:"per_home"`
+}
+
+// HomeResult is one tenant's end-of-replay counters.
+type HomeResult struct {
+	Home  string        `json:"home"`
+	Stats gateway.Stats `json:"stats"`
 }
 
 var clusterGwOpts = []gateway.Option{
@@ -95,8 +101,8 @@ var clusterGwOpts = []gateway.Option{
 // clusterSolo replays every stream through standalone gateways, one
 // goroutine per home (matching the cluster's per-home concurrency), and
 // returns the reference counters plus the wall-clock.
-func clusterSolo(cctx *core.Context, names []string, streams [][]event.Event, end time.Duration) ([]HubHomeResult, time.Duration, error) {
-	out := make([]HubHomeResult, len(names))
+func clusterSolo(cctx *core.Context, names []string, streams [][]event.Event, end time.Duration) ([]HomeResult, time.Duration, error) {
+	out := make([]HomeResult, len(names))
 	errs := make(chan error, len(names))
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -120,7 +126,7 @@ func clusterSolo(cctx *core.Context, names []string, streams [][]event.Event, en
 				return
 			}
 			drainAlerts(gw)
-			out[i] = HubHomeResult{Home: names[i], Stats: gw.Stats()}
+			out[i] = HomeResult{Home: names[i], Stats: gw.Stats()}
 			errs <- nil
 		}(i)
 	}
@@ -446,7 +452,7 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 			return nil, fmt.Errorf("home %s vanished mid-bench", nm)
 		}
 		st := tn.Stats()
-		res.PerHome = append(res.PerHome, HubHomeResult{Home: nm, Stats: st})
+		res.PerHome = append(res.PerHome, HomeResult{Home: nm, Stats: st})
 		res.Events += st.Events
 		res.Alerts += st.Alerts
 		if st != solo[i].Stats {

@@ -16,8 +16,8 @@ import (
 // answers devices with. Remote peers see only these; anything more
 // specific is observable via telemetry.
 const (
-	// ReasonBadPayload: the payload decoded as neither a binary batch nor
-	// the legacy JSON schema (or failed its CRC).
+	// ReasonBadPayload: the payload is not a DWB1 batch (or failed its
+	// CRC).
 	ReasonBadPayload = "bad-payload"
 	// ReasonRejected: the payload decoded, but the gateway refused it
 	// (time regression, ingest hook veto).
@@ -26,42 +26,16 @@ const (
 	ReasonMethod = "method-not-allowed"
 )
 
-// WireEvent is one reading in a JSON report payload.
-type WireEvent struct {
-	// AtMS is the stream-time offset in milliseconds.
-	AtMS int64 `json:"at"`
-	// Device is the device ID in the shared registry.
-	Device int `json:"d"`
-	// Value is the reading.
-	Value float64 `json:"v"`
-}
-
-// WireFormat selects the encoding an Agent puts on the wire.
-type WireFormat uint8
-
-const (
-	// WireBinary is the internal/wire binary batch format (the default):
-	// fixed-width records, CRC-framed, decoded on the gateway through the
-	// pooled zero-alloc path. Binary keeps full nanosecond timestamps.
-	WireBinary WireFormat = iota
-	// WireJSON is the legacy JSON array encoding. Timestamps truncate to
-	// milliseconds on the wire.
-	WireJSON
-)
-
 // Agent is the device-side helper: it batches readings and posts them to a
-// CoAP front end (hub.ServeCoAP).
+// CoAP front end (hub.ServeCoAP) as DWB1 payloads (internal/wire).
 type Agent struct {
 	cli     *coap.Client
 	pending []event.Event
-	enc     []byte // reused encode buffer for binary payloads
+	enc     []byte // reused encode buffer for DWB1 payloads
 	// BatchSize is how many readings are sent per POST (default 16).
 	BatchSize int
 	// Timeout bounds each exchange (default 5s).
 	Timeout time.Duration
-	// Format selects the wire encoding (default WireBinary). Set WireJSON
-	// to exercise the legacy JSON path.
-	Format WireFormat
 	// Home, when set, addresses a tenant behind a multi-home hub: requests
 	// go to /report/{home}, /advance/{home}, /stats/{home} instead of the
 	// bare paths, which reach the front's default home.
@@ -134,22 +108,8 @@ func (a *Agent) Flush() error {
 	if len(a.pending) == 0 {
 		return nil
 	}
-	var payload []byte
-	if a.Format == WireJSON {
-		batch := make([]WireEvent, len(a.pending))
-		for i, e := range a.pending {
-			batch[i] = WireEvent{AtMS: e.At.Milliseconds(), Device: int(e.Device), Value: e.Value}
-		}
-		var err error
-		payload, err = json.Marshal(batch)
-		if err != nil {
-			return err
-		}
-	} else {
-		a.enc = wire.AppendReport(a.enc[:0], a.pending)
-		payload = a.enc
-	}
-	req := &coap.Message{Code: coap.CodePOST, Payload: payload}
+	a.enc = wire.AppendReport(a.enc[:0], a.pending)
+	req := &coap.Message{Code: coap.CodePOST, Payload: a.enc}
 	req.SetPath(a.path("report"))
 	resp, err := a.do(req)
 	if err != nil {
@@ -167,20 +127,8 @@ func (a *Agent) Advance(t time.Duration) error {
 	if err := a.Flush(); err != nil {
 		return err
 	}
-	var payload []byte
-	if a.Format == WireJSON {
-		var err error
-		payload, err = json.Marshal(struct {
-			AtMS int64 `json:"at"`
-		}{t.Milliseconds()})
-		if err != nil {
-			return err
-		}
-	} else {
-		a.enc = wire.AppendAdvance(a.enc[:0], t)
-		payload = a.enc
-	}
-	req := &coap.Message{Code: coap.CodePOST, Payload: payload}
+	a.enc = wire.AppendAdvance(a.enc[:0], t)
+	req := &coap.Message{Code: coap.CodePOST, Payload: a.enc}
 	req.SetPath(a.path("advance"))
 	resp, err := a.do(req)
 	if err != nil {

@@ -581,6 +581,9 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 		}
 	}
 	g.met.events.Inc()
+	// Advance the clock first: a post-restart rebase shifts every stamp
+	// it finds, and must not shift this event's own.
+	g.observeClockLocked(e.At)
 	s := g.liveSlot(e.Device)
 	s.at, s.seen = e.At, true
 	if s.dark {
@@ -588,7 +591,6 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 		g.nDark--
 		g.met.dark.Set(int64(g.nDark))
 	}
-	g.observeClockLocked(e.At)
 	done, err := g.builder.Add(e)
 	if err != nil {
 		return err

@@ -88,8 +88,7 @@ func TestGatewayLivenessOutsideRegistry(t *testing.T) {
 
 	// Restore through the JSON envelope, then resume after a 2-hour outage:
 	// every last-seen stamp shifts by the 120-minute gap. The first live
-	// event's own device is stamped before the shift, so it lands at
-	// 161m+120m.
+	// event's own device is stamped after the shift, at its own 161m.
 	env, err := EncodeCheckpoint(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestGatewayLivenessOutsideRegistry(t *testing.T) {
 	wantRebased := []DeviceLiveness{
 		{Device: -3, LastSeen: 123 * time.Minute, Dark: true},
 		{Device: 0, Name: "motion-kitchen-0", LastSeen: 124 * time.Minute, Dark: true},
-		{Device: 1, Name: "motion-bathroom-1", LastSeen: 281 * time.Minute},
+		{Device: 1, Name: "motion-bathroom-1", LastSeen: 161 * time.Minute},
 		{Device: 2, Name: "motion-bedroom-2", LastSeen: 121 * time.Minute, Dark: true},
 		{Device: n + 1, LastSeen: 125 * time.Minute, Dark: true},
 		{Device: n + 5, LastSeen: 161 * time.Minute},
@@ -129,7 +128,8 @@ func TestGatewayLivenessOutsideRegistry(t *testing.T) {
 	if err := rgw.AdvanceTo(200 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := livenessAlerts(rgw), []string{fmt.Sprintf("%d@3h11m0s/3h20m0s", n+5)}; !reflect.DeepEqual(got, want) {
+	// Device 1 and n+5 both last reported at 161m, so both go dark 30m later.
+	if got, want := livenessAlerts(rgw), []string{"1@3h11m0s/3h20m0s", fmt.Sprintf("%d@3h11m0s/3h20m0s", n+5)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("post-rebase liveness alerts %q, want %q", got, want)
 	}
 }

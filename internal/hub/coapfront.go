@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
-	"time"
 
 	"repro/internal/coap"
-	"repro/internal/device"
-	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -20,8 +17,8 @@ import (
 // (the simulated aggregators do this once per minute). The tenant is the
 // last path segment:
 //
-//	POST /report/{home}    batch of readings (binary DWB1 or JSON)
-//	POST /advance/{home}   stream-clock advance (binary DWB1 or JSON)
+//	POST /report/{home}    batch of readings (DWB1)
+//	POST /advance/{home}   stream-clock advance (DWB1)
 //	GET  /stats/{home}     tenant Stats (drained first, so it is settled)
 //	GET  /context/{home}   active context version, schema, timing capability
 //	GET  /liveness/{home}  tenant silence tracker
@@ -30,14 +27,12 @@ import (
 // when it has one (WithDefaultHome), so a single-home device agent reports
 // without naming a tenant; dice-gateway serves that way.
 //
-// Two encodings share the same resource paths, negotiated by sniffing the
-// payload's first bytes: the binary batch format of internal/wire (magic
-// "DWB1"), which rides the one-op Hub.IngestBatch path, and the legacy
-// JSON arrays of gateway.WireEvent ({"at": ms} for /advance). Error
-// responses carry stable short reason codes (gateway.Reason* plus
-// "unknown-home"), never internal error text: the detail stays on the hub
-// telemetry (dice_hub_malformed_total) rather than being echoed to an
-// unauthenticated UDP peer.
+// Payloads are the binary batch format of internal/wire (magic "DWB1"),
+// and each one rides the one-op Hub.IngestBatch path; anything else is
+// answered bad-payload. Error responses carry stable short reason codes
+// (gateway.Reason* plus "unknown-home"), never internal error text: the
+// detail stays on the hub telemetry (dice_hub_malformed_total) rather than
+// being echoed to an unauthenticated UDP peer.
 
 // ReasonUnknownHome is the CodeNotFound reason for an unregistered tenant.
 const ReasonUnknownHome = "unknown-home"
@@ -77,7 +72,7 @@ func ServeCoAP(h *Hub, addr string, opts ...FrontOption) (*Front, error) {
 	f := &Front{
 		h:         h,
 		def:       o.def,
-		malformed: h.Telemetry().Counter(metricHubMalformed, "Report/advance payloads that failed to decode at the hub front (JSON or binary)."),
+		malformed: h.Telemetry().Counter(metricHubMalformed, "Report/advance payloads that failed to decode at the hub front."),
 	}
 	srv, err := coap.ListenAndServe(addr, f.handle, coap.WithTelemetry(h.Telemetry()))
 	if err != nil {
@@ -116,11 +111,11 @@ func errResponse(err error) *coap.Message {
 	return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonRejected)}
 }
 
-// handleBinary decodes one binary batch and routes it as a single shard op.
+// handleBatch decodes one DWB1 batch and routes it as a single shard op.
 // The decode scratch is wire-pooled and returned before this function does:
 // Hub.IngestBatch copies into a hub-owned slice at enqueue because shard
 // ops apply asynchronously.
-func (f *Front) handleBinary(home string, payload []byte) *coap.Message {
+func (f *Front) handleBatch(home string, payload []byte) *coap.Message {
 	scratch := wire.GetEvents()
 	b, err := wire.DecodeBatch(payload, *scratch)
 	if err != nil {
@@ -150,40 +145,9 @@ func (f *Front) handle(req *coap.Message) *coap.Message {
 		if req.Code != coap.CodePOST {
 			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonMethod)}
 		}
-		if wire.IsBinary(req.Payload) {
-			return f.handleBinary(home, req.Payload)
-		}
-		var batch []gateway.WireEvent
-		if err := json.Unmarshal(req.Payload, &batch); err != nil {
-			f.malformed.Inc()
-			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonBadPayload)}
-		}
-		for _, w := range batch {
-			e := event.Event{
-				At:     time.Duration(w.AtMS) * time.Millisecond,
-				Device: device.ID(w.Device),
-				Value:  w.Value,
-			}
-			if err := f.h.Ingest(home, e); err != nil {
-				return errResponse(err)
-			}
-		}
-		return &coap.Message{Code: coap.CodeChanged}
+		return f.handleBatch(home, req.Payload)
 	case "advance":
-		if wire.IsBinary(req.Payload) {
-			return f.handleBinary(home, req.Payload)
-		}
-		var adv struct {
-			AtMS int64 `json:"at"`
-		}
-		if err := json.Unmarshal(req.Payload, &adv); err != nil {
-			f.malformed.Inc()
-			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonBadPayload)}
-		}
-		if err := f.h.Advance(home, time.Duration(adv.AtMS)*time.Millisecond); err != nil {
-			return errResponse(err)
-		}
-		return &coap.Message{Code: coap.CodeChanged}
+		return f.handleBatch(home, req.Payload)
 	case "stats":
 		// Drain first so the snapshot covers every op this client already
 		// got an ACK for — the same read-your-writes contract a solo

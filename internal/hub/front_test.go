@@ -16,6 +16,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/simhome"
+	"repro/internal/wire"
 )
 
 // The tests in this file serve one tenant the way dice-gateway does: a
@@ -168,19 +169,15 @@ func TestHubReportIdempotence(t *testing.T) {
 	h, front := oneHomeHub(t, cctx)
 
 	start := 3 * 24 * 60
-	var batch []gateway.WireEvent
+	var batch []event.Event
 	for _, e := range sim.Events(start, start+5) {
 		e.At -= time.Duration(start) * time.Minute
-		batch = append(batch, gateway.WireEvent{AtMS: e.At.Milliseconds(), Device: int(e.Device), Value: e.Value})
+		batch = append(batch, e)
 	}
 	if len(batch) == 0 {
 		t.Fatal("empty workload")
 	}
-	payload, err := json.Marshal(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &coap.Message{Type: coap.Confirmable, Code: coap.CodePOST, MessageID: 41, Token: []byte{3}, Payload: payload}
+	req := &coap.Message{Type: coap.Confirmable, Code: coap.CodePOST, MessageID: 41, Token: []byte{3}, Payload: wire.AppendReport(nil, batch)}
 	req.SetPath("report")
 	data, err := req.Marshal()
 	if err != nil {
@@ -220,6 +217,42 @@ func TestHubReportIdempotence(t *testing.T) {
 	}
 	if st := front.ServerStats(); st.Deduped != 1 {
 		t.Errorf("Deduped = %d, want 1", st.Deduped)
+	}
+}
+
+// TestHubFrontRejectsJSON: the front reads DWB1 only. A JSON report on
+// /report and a JSON clock advance on /advance are each answered
+// 4.00 bad-payload, counted as malformed, and reach no tenant.
+func TestHubFrontRejectsJSON(t *testing.T) {
+	_, cctx := trained(t)
+	h, front := oneHomeHub(t, cctx)
+	before := settledTenant(t, h).Stats()
+
+	cli, err := coap.Dial(front.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	for i, c := range []struct{ path, payload string }{
+		{"report", `[{"at":1000,"d":0,"v":1}]`},
+		{"advance", `{"at":60000}`},
+	} {
+		req := &coap.Message{Code: coap.CodePOST, Payload: []byte(c.payload)}
+		req.SetPath(c.path)
+		resp, err := cli.Do(time.Now().Add(5*time.Second), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != coap.CodeBadRequest || string(resp.Payload) != gateway.ReasonBadPayload {
+			t.Errorf("/%s with JSON answered %v %q, want %v %q",
+				c.path, resp.Code, resp.Payload, coap.CodeBadRequest, gateway.ReasonBadPayload)
+		}
+		if got := front.malformed.Value(); got != int64(i+1) {
+			t.Errorf("after /%s: %s = %d, want %d", c.path, metricHubMalformed, got, i+1)
+		}
+	}
+	if after := settledTenant(t, h).Stats(); after != before {
+		t.Errorf("rejected JSON payloads changed the tenant:\n before %+v\n after  %+v", before, after)
 	}
 }
 

@@ -33,11 +33,9 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrShed is returned by TryIngest when the target shard's queue is full.
-var ErrShed = errors.New("hub: shard queue full, event shed")
-
-// ErrDeadline is returned by Ingest when an ingest deadline is configured
-// and the shard queue stayed full for its whole duration.
+// ErrDeadline is returned by Ingest, IngestBatch and Advance when an
+// ingest deadline is configured and the shard queue stayed full for its
+// whole duration.
 var ErrDeadline = errors.New("hub: ingest deadline exceeded, event shed")
 
 // ErrClosed is returned by every operation on a closed hub.
@@ -99,7 +97,7 @@ func newHubMetrics(reg *telemetry.Registry) hubMetrics {
 		restarts:      reg.Counter(metricHubRestarts, "Tenant gateways rebuilt from durable state after a panic."),
 		quarantined:   reg.Gauge(metricHubQuarantined, "Tenants currently quarantined."),
 		droppedOps:    reg.Counter(metricHubDroppedOps, "Ops dropped because their tenant was quarantined."),
-		deadlineSheds: reg.Counter(metricHubDeadlineSheds, "Events shed by the overload policy (cold shed or deadline)."),
+		deadlineSheds: reg.Counter(metricHubDeadlineSheds, "Data ops shed by the ingest deadline."),
 		corruptCkpts:  reg.Counter(metricHubCorruptCkpts, "Checkpoints rejected by the checksum envelope (cold start + WAL replay instead)."),
 		breakerTrips:  reg.Counter(metricHubBreakerTrips, "Times a tenant's restart circuit breaker opened."),
 	}
@@ -109,17 +107,16 @@ func newHubMetrics(reg *telemetry.Registry) hubMetrics {
 type opKind uint8
 
 const (
-	opIngest opKind = iota
+	// opIngestBatch applies a batch of events in one gateway call (one WAL
+	// append, one lock acquisition). Its events live in a hub-pooled slice
+	// the worker recycles after apply.
+	opIngestBatch opKind = iota
 	opAdvance
 	opBarrier
 	// opStall parks the worker until done is closed by the sender — the
 	// inverse of a barrier. Only tests enqueue it, to fill a queue
 	// deterministically and observe shedding.
 	opStall
-	// opIngestBatch applies a whole decoded binary batch in one gateway
-	// call (one WAL append, one lock acquisition). Its events live in a
-	// hub-pooled slice the worker recycles after apply.
-	opIngestBatch
 )
 
 // op is one unit of shard work. Barriers carry a done channel the worker
@@ -128,7 +125,6 @@ const (
 type op struct {
 	t    *tenant
 	kind opKind
-	ev   event.Event
 	evs  *[]event.Event // opIngestBatch only; hub-pooled, worker-recycled
 	at   time.Duration
 	done chan struct{}
@@ -192,11 +188,9 @@ type tenant struct {
 	suspect    atomic.Bool
 	panicTimes []time.Time
 
-	// Overload accounting: op volume in the current and previous hotness
-	// epochs, and when the shedding policy last cost this tenant an event.
-	recentCur  atomic.Int64
-	recentPrev atomic.Int64
-	lastShed   atomic.Int64
+	// lastShed is wall-clock nanos of the last event the ingest deadline
+	// cost this tenant; it drives HealthDegraded.
+	lastShed atomic.Int64
 
 	// sup serializes forwarder lifecycle and restart against eviction.
 	// stop ends the alert forwarder; fwdDone confirms it drained and left.
@@ -293,7 +287,7 @@ func WithShards(n int) Option {
 }
 
 // WithQueueDepth bounds each shard's op queue (default 256). Ingest blocks
-// on a full queue (backpressure); TryIngest sheds instead.
+// on a full queue (backpressure), for at most WithIngestDeadline if set.
 func WithQueueDepth(n int) Option {
 	return func(o *options) { o.queueDepth = n }
 }
@@ -367,12 +361,11 @@ func WithRestartBackoff(d time.Duration) Option {
 	return func(o *options) { o.restartBackoff = d }
 }
 
-// WithIngestDeadline bounds how long an enqueue may wait on a full shard
-// queue before shedding the event: Ingest returns ErrDeadline instead of
-// blocking forever, and TryIngest spends the deadline waiting only for hot
-// (recently busy) tenants — cold tenants shed immediately, so under
-// overload the tenants with the most signal keep the queue slots. Zero
-// (the default) preserves pure backpressure semantics.
+// WithIngestDeadline bounds how long a data op (Ingest, IngestBatch,
+// Advance) may wait on a full shard queue before it is shed: the call
+// returns ErrDeadline instead of blocking forever, and the tenant reports
+// HealthDegraded for a while. Zero (the default) preserves pure
+// backpressure semantics.
 func WithIngestDeadline(d time.Duration) Option {
 	return func(o *options) { o.ingestDeadline = d }
 }
@@ -446,7 +439,7 @@ func (h *Hub) startShards(n int) []*shard {
 			ops:    make(chan op, h.o.queueDepth),
 			done:   make(chan struct{}),
 			depth:  h.tel.LabeledGauge(metricHubQueueDepth, "Ops queued (or blocked enqueuing) per shard.", "shard", lbl),
-			shed:   h.tel.LabeledCounter(metricHubShed, "Events shed by TryIngest because the shard queue was full.", "shard", lbl),
+			shed:   h.tel.LabeledCounter(metricHubShed, "Data ops shed because the shard queue stayed full past the ingest deadline.", "shard", lbl),
 			opsCnt: h.tel.LabeledCounter(metricHubOps, "Ops applied per shard.", "shard", lbl),
 		}
 		shards[i] = s
@@ -475,8 +468,6 @@ func (h *Hub) worker(s *shard) {
 			close(o.done)
 		case opStall:
 			<-o.done
-		case opIngest:
-			h.applyOp(o, func(g *gateway.Gateway) error { return g.Ingest(o.ev) })
 		case opIngestBatch:
 			h.applyOp(o, func(g *gateway.Gateway) error { return g.IngestBatch(*o.evs) })
 			*o.evs = (*o.evs)[:0]
@@ -640,18 +631,15 @@ func (h *Hub) shardForLocked(home string) *shard {
 	return h.shards[int(f.Sum32())%len(h.shards)]
 }
 
-// enqueue routes one op, blocking on a full queue when block is set and
-// shedding otherwise. The read lock held across the channel send is what
-// makes Resize safe: queues are only closed under the write lock, which
-// cannot be acquired while a send is in flight.
+// enqueue routes one op, blocking on a full queue. The read lock held
+// across the channel send is what makes Resize safe: queues are only
+// closed under the write lock, which cannot be acquired while a send is in
+// flight.
 //
-// With an ingest deadline configured, a full queue engages the overload
-// policy for data ops: blocking sends wait at most the deadline
-// (ErrDeadline after), and non-blocking sends spend the deadline waiting
-// only when the tenant is hot — cold tenants shed immediately, so the
-// busiest homes keep the queue slots. Barriers and stalls always block:
-// Drain's correctness depends on it.
-func (h *Hub) enqueue(home string, o op, block bool) error {
+// With an ingest deadline configured, a data op waits at most the deadline
+// on a full queue and is then shed (ErrDeadline). Barriers and stalls
+// always block: Drain's correctness depends on it.
+func (h *Hub) enqueue(home string, o op) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if h.closed {
@@ -671,8 +659,8 @@ func (h *Hub) enqueue(home string, o op, block bool) error {
 	o.t = t
 	s := h.shardForLocked(home)
 	s.depth.Add(1)
-	dataOp := o.kind == opIngest || o.kind == opIngestBatch || o.kind == opAdvance
-	if block && (h.o.ingestDeadline <= 0 || !dataOp) {
+	dataOp := o.kind == opIngestBatch || o.kind == opAdvance
+	if h.o.ingestDeadline <= 0 || !dataOp {
 		s.ops <- o
 		return nil
 	}
@@ -680,18 +668,6 @@ func (h *Hub) enqueue(home string, o op, block bool) error {
 	case s.ops <- o:
 		return nil
 	default:
-	}
-	// Queue full. Decide whether this op is worth waiting the deadline for.
-	wait := block
-	if !block && dataOp && h.o.ingestDeadline > 0 {
-		wait = h.isHotLocked(t)
-	}
-	if !wait {
-		s.depth.Add(-1)
-		s.shed.Inc()
-		t.shedNow()
-		h.met.deadlineSheds.Inc()
-		return ErrShed
 	}
 	timer := time.NewTimer(h.o.ingestDeadline)
 	defer timer.Stop()
@@ -703,39 +679,29 @@ func (h *Hub) enqueue(home string, o op, block bool) error {
 		s.shed.Inc()
 		t.shedNow()
 		h.met.deadlineSheds.Inc()
-		if block {
-			return ErrDeadline
-		}
-		return ErrShed
+		return ErrDeadline
 	}
 }
 
-// Ingest routes one event to its home's shard, blocking while the shard
-// queue is full (backpressure). The event is applied asynchronously; a
-// gateway-level rejection increments dice_hub_ingest_errors_total.
+// Ingest routes one event to its home's shard: an IngestBatch of one.
 func (h *Hub) Ingest(home string, e event.Event) error {
-	return h.enqueue(home, op{kind: opIngest, ev: e}, true)
-}
-
-// TryIngest is Ingest without backpressure: a full shard queue sheds the
-// event (counted per shard) and returns ErrShed.
-func (h *Hub) TryIngest(home string, e event.Event) error {
-	return h.enqueue(home, op{kind: opIngest, ev: e}, false)
+	return h.IngestBatch(home, []event.Event{e})
 }
 
 // IngestBatch routes a whole batch of events to the home's shard as one op:
 // one queue slot, one gateway lock acquisition, one WAL append. The caller
 // keeps ownership of evts — the batch is copied into a hub-pooled slice at
 // enqueue, so a CoAP front can return its decode scratch immediately.
-// Per-event application errors are counted, not returned, matching the
-// asynchronous contract of Ingest.
+// The batch blocks while the shard queue is full (backpressure) and is
+// applied asynchronously: a gateway-level rejection is counted in
+// dice_hub_ingest_errors_total, not returned.
 func (h *Hub) IngestBatch(home string, evts []event.Event) error {
 	if len(evts) == 0 {
 		return nil
 	}
 	bp := batchPool.Get().(*[]event.Event)
 	*bp = append((*bp)[:0], evts...)
-	err := h.enqueue(home, op{kind: opIngestBatch, evs: bp}, true)
+	err := h.enqueue(home, op{kind: opIngestBatch, evs: bp})
 	if err != nil {
 		*bp = (*bp)[:0]
 		batchPool.Put(bp)
@@ -746,14 +712,14 @@ func (h *Hub) IngestBatch(home string, evts []event.Event) error {
 // Advance routes a stream-clock advance to the home's shard, behind any
 // events already queued for it.
 func (h *Hub) Advance(home string, t time.Duration) error {
-	return h.enqueue(home, op{kind: opAdvance, at: t}, true)
+	return h.enqueue(home, op{kind: opAdvance, at: t})
 }
 
 // Drain blocks until every op enqueued for home before the call has been
 // applied. After Drain, the tenant's Stats reflect all prior Ingests.
 func (h *Hub) Drain(home string) error {
 	done := make(chan struct{})
-	if err := h.enqueue(home, op{kind: opBarrier, done: done}, true); err != nil {
+	if err := h.enqueue(home, op{kind: opBarrier, done: done}); err != nil {
 		return err
 	}
 	<-done
@@ -970,13 +936,6 @@ func (h *Hub) Run(ctx context.Context, onAlert func(TenantAlert)) error {
 		defer tick.Stop()
 		idleC = tick.C
 	}
-	var epochC <-chan time.Time
-	if h.o.ingestDeadline > 0 {
-		// Age the hotness windows the shedding policy ranks tenants by.
-		tick := time.NewTicker(15 * time.Second)
-		defer tick.Stop()
-		epochC = tick.C
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -998,8 +957,6 @@ func (h *Hub) Run(ctx context.Context, onAlert func(TenantAlert)) error {
 			h.CheckpointAll() //nolint:errcheck // periodic; final write happens on exit
 		case <-idleC:
 			h.evictIdle()
-		case <-epochC:
-			h.rollEpochs()
 		}
 	}
 }

@@ -524,57 +524,6 @@ func TestHubIdleEvictionSparesBusyTenant(t *testing.T) {
 	}
 }
 
-// TestHubShedsWhenQueueFull: with the worker parked and the queue full,
-// TryIngest sheds (counted) while Ingest would block — backpressure and
-// load-shedding are both real.
-func TestHubShedsWhenQueueFull(t *testing.T) {
-	_, cctx := trained(t)
-	hub, err := New(WithShards(1), WithQueueDepth(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	if _, err := hub.Register("casa", cctx, tenantGwOpts...); err != nil {
-		t.Fatal(err)
-	}
-	hub.mu.RLock()
-	s := hub.shards[0]
-	hub.mu.RUnlock()
-	stall := make(chan struct{})
-	release := sync.OnceFunc(func() { close(stall) })
-	defer release() // the parked worker must be released even on a Fatalf
-	s.depth.Add(1)
-	s.ops <- op{kind: opStall, done: stall}
-	// Wait for the worker to dequeue the stall and park, so the queue's
-	// two slots are genuinely free.
-	for deadline := time.Now().Add(5 * time.Second); len(s.ops) != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the stall op")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	e := event.Event{At: time.Second, Device: 0, Value: 1}
-	for i := 0; i < 2; i++ {
-		if err := hub.TryIngest("casa", e); err != nil {
-			t.Fatalf("op %d shed with queue space free: %v", i, err)
-		}
-	}
-	if err := hub.TryIngest("casa", e); err != ErrShed {
-		t.Fatalf("full queue returned %v, want ErrShed", err)
-	}
-	if n := s.shed.Value(); n != 1 {
-		t.Errorf("shed counter = %d, want 1", n)
-	}
-	release()
-	if err := hub.Drain("casa"); err != nil {
-		t.Fatal(err)
-	}
-	tn, _ := hub.Tenant("casa")
-	if got := tn.Stats().Events; got != 2 {
-		t.Errorf("events = %d after shedding, want 2", got)
-	}
-}
-
 // TestHubUnknownHome: routing errors are immediate, not queued.
 func TestHubUnknownHome(t *testing.T) {
 	_, cctx := trained(t)

@@ -76,33 +76,6 @@ func (t *tenant) currentHealth() Health {
 // shedNow stamps the tenant as having just lost an event to overload.
 func (t *tenant) shedNow() { t.lastShed.Store(time.Now().UnixNano()) }
 
-// hotness is the tenant's recent op volume: the current epoch plus the
-// previous one, so a tenant stays "hot" across an epoch boundary.
-func (t *tenant) hotness() int64 { return t.recentCur.Load() + t.recentPrev.Load() }
-
-// rollEpochs ages every tenant's hotness window (previous ← current).
-// Run calls it periodically; between rolls, hotness only accumulates,
-// which still orders tenants correctly for the shedding policy.
-func (h *Hub) rollEpochs() {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for _, t := range h.tenants {
-		t.recentPrev.Store(t.recentCur.Swap(0))
-	}
-}
-
-// isHotLocked reports whether t's recent volume is at or above the mean
-// across tenants — the overload policy sheds cold tenants immediately and
-// spends the ingest deadline only on hot ones. Integer cross-multiply
-// avoids float drift; a lone tenant is always hot. Caller holds h.mu.
-func (h *Hub) isHotLocked(t *tenant) bool {
-	var sum int64
-	for _, other := range h.tenants {
-		sum += other.hotness()
-	}
-	return t.hotness()*int64(len(h.tenants)) >= sum
-}
-
 // updateQuarantineGauge recounts quarantined tenants after a transition.
 func (h *Hub) updateQuarantineGauge() {
 	h.mu.RLock()
@@ -136,20 +109,16 @@ func (t *tenant) stopForwarderLocked() {
 func (h *Hub) onPanic(t *tenant, o op, p any, stack []byte) {
 	h.met.panics.Inc()
 	seq := t.gateway().WALSeq()
-	if o.kind == opIngestBatch && o.evs != nil {
+	if o.kind == opAdvance {
+		//nolint:errcheck // forensics must not block supervision
+		t.dl.Record(wal.Entry(t.home, seq, wal.AdvanceRecord(o.at), p, stack, false))
+	} else {
 		// Which event in the batch was poison is unknown here; capture them
 		// all. WAL replay after restart pins down the exact record.
 		for _, e := range *o.evs {
 			//nolint:errcheck // forensics must not block supervision
 			t.dl.Record(wal.Entry(t.home, seq, wal.IngestRecord(e), p, stack, false))
 		}
-	} else {
-		rec := wal.IngestRecord(o.ev)
-		if o.kind == opAdvance {
-			rec = wal.AdvanceRecord(o.at)
-		}
-		//nolint:errcheck // forensics must not block supervision
-		t.dl.Record(wal.Entry(t.home, seq, rec, p, stack, false))
 	}
 
 	t.suspect.Store(true)
@@ -263,7 +232,6 @@ func (h *Hub) applyOp(o op, f func(*gateway.Gateway) error) {
 		// would be paid on every op for nothing.
 		t.lastOp.Store(time.Now().UnixNano())
 	}
-	t.recentCur.Add(1)
 	defer func() {
 		if p := recover(); p != nil {
 			h.onPanic(t, o, p, debug.Stack())

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -391,11 +392,12 @@ func TestHubCrashRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestHubOverloadShedsColdFirst: with an ingest deadline configured and a
-// full shard queue, a cold tenant sheds immediately while a hot tenant
-// spends the deadline waiting for a slot — and blocking Ingest converts
-// the timeout into ErrDeadline instead of waiting forever.
-func TestHubOverloadShedsColdFirst(t *testing.T) {
+// TestHubShedsWhenQueueFull: with an ingest deadline configured and the
+// shard queue full, Ingest waits about the deadline and then sheds the
+// event with ErrDeadline instead of blocking forever. The shed is counted
+// on the shard and in dice_hub_degraded_sheds_total, the tenant reports
+// degraded, and the ops queued before the overload are still applied.
+func TestHubShedsWhenQueueFull(t *testing.T) {
 	_, cctx := trained(t)
 	const deadline = 80 * time.Millisecond
 	hub, err := New(WithShards(1), WithQueueDepth(2), WithIngestDeadline(deadline))
@@ -403,26 +405,20 @@ func TestHubOverloadShedsColdFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	for _, home := range []string{"hot", "cold"} {
-		if _, err := hub.Register(home, cctx, tenantGwOpts...); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := hub.Register("casa", cctx, tenantGwOpts...); err != nil {
+		t.Fatal(err)
 	}
 	hub.mu.RLock()
 	s := hub.shards[0]
-	hub.tenants["hot"].recentCur.Add(1000)
 	hub.mu.RUnlock()
 
 	stall := make(chan struct{})
-	defer func() {
-		select {
-		case <-stall:
-		default:
-			close(stall)
-		}
-	}()
+	release := sync.OnceFunc(func() { close(stall) })
+	defer release() // the parked worker must be released even on a Fatalf
 	s.depth.Add(1)
 	s.ops <- op{kind: opStall, done: stall}
+	// Wait for the worker to dequeue the stall and park, so the queue's
+	// two slots are genuinely free.
 	for deadlineAt := time.Now().Add(5 * time.Second); len(s.ops) != 0; {
 		if time.Now().After(deadlineAt) {
 			t.Fatal("worker never picked up the stall op")
@@ -431,46 +427,38 @@ func TestHubOverloadShedsColdFirst(t *testing.T) {
 	}
 	e := event.Event{At: time.Second, Device: 0, Value: 1}
 	for i := 0; i < 2; i++ {
-		if err := hub.TryIngest("hot", e); err != nil {
-			t.Fatalf("fill op %d: %v", i, err)
+		if err := hub.Ingest("casa", e); err != nil {
+			t.Fatalf("op %d shed with queue space free: %v", i, err)
 		}
+	}
+	if st, _ := hub.Health("casa"); st != HealthHealthy {
+		t.Errorf("health = %v before any shed, want healthy", st)
 	}
 
 	start := time.Now()
-	if err := hub.TryIngest("cold", e); !errors.Is(err, ErrShed) {
-		t.Fatalf("cold TryIngest = %v, want ErrShed", err)
-	}
-	if el := time.Since(start); el > deadline/2 {
-		t.Errorf("cold tenant shed after %v, want immediate", el)
-	}
-	start = time.Now()
-	if err := hub.TryIngest("hot", e); !errors.Is(err, ErrShed) {
-		t.Fatalf("hot TryIngest = %v, want ErrShed", err)
+	if err := hub.Ingest("casa", e); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("Ingest on a full queue = %v, want ErrDeadline", err)
 	}
 	if el := time.Since(start); el < deadline/2 {
-		t.Errorf("hot tenant shed after %v, want ~the %v deadline", el, deadline)
+		t.Errorf("Ingest shed after %v, want ~the %v deadline", el, deadline)
 	}
-	start = time.Now()
-	if err := hub.Ingest("hot", e); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("blocking Ingest on full queue = %v, want ErrDeadline", err)
+	if n := s.shed.Value(); n != 1 {
+		t.Errorf("shard shed counter = %d, want 1", n)
 	}
-	if el := time.Since(start); el < deadline/2 {
-		t.Errorf("blocking Ingest returned after %v, want ~the %v deadline", el, deadline)
+	if n := hub.met.deadlineSheds.Value(); n != 1 {
+		t.Errorf("deadline sheds = %d, want 1", n)
 	}
-	if n := hub.met.deadlineSheds.Value(); n != 3 {
-		t.Errorf("deadline sheds = %d, want 3", n)
-	}
-	if st, _ := hub.Health("cold"); st != HealthDegraded {
-		t.Errorf("cold health = %v after shed, want degraded", st)
+	if st, _ := hub.Health("casa"); st != HealthDegraded {
+		t.Errorf("health = %v after shed, want degraded", st)
 	}
 
-	close(stall)
+	release()
 	if err := hub.DrainAll(); err != nil {
 		t.Fatal(err)
 	}
-	tn, _ := hub.Tenant("hot")
+	tn, _ := hub.Tenant("casa")
 	if got := tn.Stats().Events; got != 2 {
-		t.Errorf("hot events = %d, want the 2 queued before overload", got)
+		t.Errorf("events = %d, want the 2 queued before overload", got)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 	"repro/internal/simhome"
 )
 
-// TestHubWireFormatsEquivalent replays the same faulty stream into two
-// tenants of one hub — one over the legacy JSON wire, one over binary
-// batches — and requires identical per-home detection output. Event times
-// are ms-aligned so both encodings carry the same stream (JSON quantizes
-// At to milliseconds).
-func TestHubWireFormatsEquivalent(t *testing.T) {
+// TestHubAgentMatchesIngestBatch replays the same faulty stream into two
+// tenants of one hub — one through a device agent over the CoAP front, one
+// by direct IngestBatch calls — and requires identical per-home detection
+// output: the DWB1 encode, the front's decode and its per-batch routing
+// add nothing and lose nothing.
+func TestHubAgentMatchesIngestBatch(t *testing.T) {
 	h, cctx := trained(t)
 	bulb, ok := h.Registry().Lookup("bulb-kitchen")
 	if !ok {
@@ -31,7 +31,6 @@ func TestHubWireFormatsEquivalent(t *testing.T) {
 	var evts []event.Event
 	for _, e := range faulty.Events(start, start+2*60) {
 		e.At -= time.Duration(start) * time.Minute
-		e.At = e.At.Truncate(time.Millisecond)
 		evts = append(evts, e)
 	}
 
@@ -40,7 +39,7 @@ func TestHubWireFormatsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	for _, home := range []string{"json", "binary"} {
+	for _, home := range []string{"coap", "direct"} {
 		if _, err := hub.Register(home, cctx, tenantGwOpts...); err != nil {
 			t.Fatal(err)
 		}
@@ -51,44 +50,48 @@ func TestHubWireFormatsEquivalent(t *testing.T) {
 	}
 	defer front.Close()
 
-	for _, home := range []string{"json", "binary"} {
-		agent, err := gateway.NewAgent(front.Addr())
-		if err != nil {
+	agent, err := gateway.NewAgent(front.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.Home = "coap"
+	for _, e := range evts {
+		if err := agent.Report(e); err != nil {
 			t.Fatal(err)
 		}
-		agent.Home = home
-		if home == "json" {
-			agent.Format = gateway.WireJSON
-		}
-		for _, e := range evts {
-			if err := agent.Report(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := agent.Advance(streamEnd); err != nil {
-			t.Fatal(err)
-		}
-		if err := agent.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := agent.Advance(streamEnd); err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.IngestBatch("direct", evts); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Advance("direct", streamEnd); err != nil {
+		t.Fatal(err)
 	}
 	if err := hub.DrainAll(); err != nil {
 		t.Fatal(err)
 	}
 
-	tnJSON, _ := hub.Tenant("json")
-	tnBin, _ := hub.Tenant("binary")
-	if tnJSON.Stats() != tnBin.Stats() {
-		t.Errorf("stats diverged:\n json   %+v\n binary %+v", tnJSON.Stats(), tnBin.Stats())
+	tnCoAP, _ := hub.Tenant("coap")
+	tnDirect, _ := hub.Tenant("direct")
+	if tnCoAP.Stats() != tnDirect.Stats() {
+		t.Errorf("stats diverged:\n coap   %+v\n direct %+v", tnCoAP.Stats(), tnDirect.Stats())
 	}
-	if tnJSON.Stats().Violations == 0 {
+	if tnCoAP.Stats().Events != int64(len(evts)) {
+		t.Errorf("coap tenant saw %d events, fed %d", tnCoAP.Stats().Events, len(evts))
+	}
+	if tnCoAP.Stats().Violations == 0 {
 		t.Error("faulty stream produced no violations; the comparison is vacuous")
 	}
-	total := int(tnJSON.Stats().Alerts + tnBin.Stats().Alerts)
+	total := int(tnCoAP.Stats().Alerts + tnDirect.Stats().Alerts)
 	byHome := collectAlerts(t, hub, total)
-	if !reflect.DeepEqual(byHome["json"], byHome["binary"]) {
-		t.Errorf("alert sequences diverged: json=%d binary=%d alerts",
-			len(byHome["json"]), len(byHome["binary"]))
+	if !reflect.DeepEqual(byHome["coap"], byHome["direct"]) {
+		t.Errorf("alert sequences diverged: coap=%d direct=%d alerts",
+			len(byHome["coap"]), len(byHome["direct"]))
 	}
 	if f := front.malformed.Value(); f != 0 {
 		t.Errorf("malformed counter = %d on a clean link", f)

@@ -37,6 +37,21 @@ func (c *Chain) Observe(a, b int) {
 	c.rowTotals[a]++
 }
 
+// ObserveN records n transitions from state a to state b at once: the same
+// counts as n calls of Observe, and nothing when n <= 0.
+func (c *Chain) ObserveN(a, b int, n int64) {
+	if n <= 0 {
+		return
+	}
+	row := c.counts[a]
+	if row == nil {
+		row = make(map[int]int64)
+		c.counts[a] = row
+	}
+	row[b] += n
+	c.rowTotals[a] += n
+}
+
 // Count returns the number of observed a->b transitions.
 func (c *Chain) Count(a, b int) int64 {
 	return c.counts[a][b]

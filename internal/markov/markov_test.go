@@ -63,6 +63,36 @@ func TestCountAndTotals(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesObserve: ObserveN(a, b, n) leaves the chain exactly
+// as n calls of Observe do, and n <= 0 leaves no trace (not even an empty
+// row that would make the source Known).
+func TestObserveNMatchesObserve(t *testing.T) {
+	one, bulk := NewChain(), NewChain()
+	for _, tr := range []struct {
+		a, b int
+		n    int64
+	}{{0, 1, 4}, {0, 2, 1}, {3, 3, 2}, {5, 6, 0}, {7, 8, -3}} {
+		for i := int64(0); i < tr.n; i++ {
+			one.Observe(tr.a, tr.b)
+		}
+		bulk.ObserveN(tr.a, tr.b, tr.n)
+	}
+	want, err := json.Marshal(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(bulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("ObserveN chain %s, want %s", got, want)
+	}
+	if bulk.Known(5) || bulk.Known(7) {
+		t.Error("a non-positive ObserveN made its source known")
+	}
+}
+
 func TestSuccessorsSorted(t *testing.T) {
 	c := NewChain()
 	c.Observe(1, 9)

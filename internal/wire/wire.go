@@ -1,8 +1,7 @@
-// Package wire is the binary batch encoding devices use to report over
-// CoAP. The JSON wire format spends most of a gateway core on parsing;
-// this one is a length-prefixed fixed-record layout that decodes straight
-// into reused event buffers, so a clean batch costs zero allocations
-// between the UDP socket and the window builder.
+// Package wire is the binary batch encoding (DWB1) devices use to report
+// over CoAP. It is a length-prefixed fixed-record layout that decodes
+// straight into reused event buffers, so a clean batch costs zero
+// allocations between the UDP socket and the window builder.
 //
 // Layout (all integers little-endian):
 //
@@ -13,10 +12,8 @@
 //
 // The CRC is Castagnoli, the same polynomial the WAL frames with, so a
 // corrupted datagram that slips past UDP's weak checksum still fails
-// closed. Payload length must match the count exactly — trailing garbage
-// is rejected, which is what makes sniffing by magic safe: no JSON batch
-// starts with "DWB1" (JSON payloads begin '[' or '{'), and no truncated
-// binary batch decodes.
+// closed. Payload length must match the count exactly: trailing garbage
+// is rejected, and no truncated batch decodes.
 package wire
 
 import (
@@ -32,9 +29,7 @@ import (
 	"repro/internal/event"
 )
 
-// Version is the current wire format version. Decoders reject anything
-// newer; the front end's JSON fallback is the compatibility story for
-// anything older than the format itself.
+// Version is the current wire format version. Decoders reject any other.
 const Version = 1
 
 // Kind discriminates batch payloads, mirroring wal.Kind's values.
@@ -47,9 +42,8 @@ const (
 	KindAdvance Kind = 2
 )
 
-// Magic opens every binary batch; it doubles as the sniff key that keeps
-// legacy JSON devices working on the same resource paths.
-var Magic = [4]byte{'D', 'W', 'B', '1'}
+// magic opens every batch.
+var magic = [4]byte{'D', 'W', 'B', '1'}
 
 const (
 	headerSize  = 4 + 1 + 1 + 4 // magic + version + kind + count
@@ -69,17 +63,10 @@ var ErrMalformed = errors.New("wire: malformed batch")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// IsBinary reports whether payload sniffs as a binary batch. It only
-// checks the magic: a payload that sniffs binary but fails to decode is a
-// malformed binary batch, not JSON.
-func IsBinary(payload []byte) bool {
-	return len(payload) >= len(Magic) && [4]byte(payload[:4]) == Magic
-}
-
 // appendHeader writes the fixed header onto buf.
 func appendHeader(buf []byte, kind Kind, count int) []byte {
 	var h [headerSize]byte
-	copy(h[:4], Magic[:])
+	copy(h[:4], magic[:])
 	h[4] = Version
 	h[5] = byte(kind)
 	binary.LittleEndian.PutUint32(h[6:10], uint32(count))
@@ -131,7 +118,7 @@ type Batch struct {
 // The returned Batch's Events is the grown scratch slice; pass it back
 // on the next call — or via PutEvents — to keep the path allocation-free.
 func DecodeBatch(payload []byte, scratch []event.Event) (Batch, error) {
-	if !IsBinary(payload) {
+	if len(payload) < len(magic) || [4]byte(payload[:4]) != magic {
 		return Batch{}, fmt.Errorf("%w: missing magic", ErrMalformed)
 	}
 	if len(payload) < headerSize+trailerSize {
