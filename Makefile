@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check fmt vet staticcheck build test bench-smoke race race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
 check: fmt vet staticcheck build bench-smoke race-telemetry race-coap race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
 
@@ -94,36 +94,32 @@ bench-scan:
 
 bench-eval:
 	$(GO) test -bench 'BenchmarkEvaluateParallel$$' -benchtime 2x -run TestBenchFixtures .
-	$(GO) run ./cmd/dice-eval -exp latency -trials 8 -benchjson BENCH_eval.json
-
-# WAL fsync pricing + crash-recovery timing → BENCH_recovery.json.
-bench-recovery:
-	$(GO) run ./cmd/dice-eval -exp recovery -recoveryjson BENCH_recovery.json
+	$(GO) run ./cmd/dice-eval -exp latency -trials 8 -out BENCH_eval.json
 
 # Federated cluster drill: migration + node-kill fail-over latency and
 # cluster-vs-solo efficiency → BENCH_cluster.json.
 bench-cluster:
-	$(GO) run ./cmd/dice-eval -exp cluster -clusterjson BENCH_cluster.json
+	$(GO) run ./cmd/dice-eval -exp cluster -out BENCH_cluster.json
 
 # Online-adaptation drill: static vs adaptive detector on a drifted stream,
 # plus post-adaptation fault injection → BENCH_drift.json. The run itself
 # errors when the adaptive arm misses a fault or fails to beat the static
-# arm's false alarms.
+# arm's false alarms (floors declared on the record).
 bench-drift:
-	$(GO) run ./cmd/dice-eval -exp drift -driftjson BENCH_drift.json
+	$(GO) run ./cmd/dice-eval -exp drift -out BENCH_drift.json
 
 # Timing-check drill: structural-only vs timing-aware arms on stream-stretch
 # faults → BENCH_timing.json. The run itself errors when the timing arm
 # catches <80% of the structurally missed faults or flags any clean window.
 bench-timing:
-	$(GO) run ./cmd/dice-eval -exp timing -timingjson BENCH_timing.json
+	$(GO) run ./cmd/dice-eval -exp timing -out BENCH_timing.json
 
 # Adversarial scenario library: per-scenario detection/identification
 # precision-recall + benign false-alarm floor → BENCH_scenarios.json. The
 # run itself errors on any clean/benign false alarm or when 2-fault storms
 # name every injected device in <80% of trials.
 bench-scenarios:
-	$(GO) run ./cmd/dice-eval -exp scenarios -scenariosjson BENCH_scenarios.json
+	$(GO) run ./cmd/dice-eval -exp scenarios -out BENCH_scenarios.json
 
 # Short fuzz passes over the wire decoders (binary batch + CoAP), the
 # interval-sketch codec, the WAL segment reader, the checkpoint and
@@ -138,17 +134,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadContext$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzAdapterState$$' -fuzztime 5s ./internal/core/
 
-# CI perf gate: regenerate the cluster, drift, timing and scenario
-# benchmarks and compare each against its committed BENCH_*.json with
-# dice-benchdiff. Every gate reads a same-process ratio or a deterministic
-# count, not raw events/sec, so it is stable across machines of different
-# speeds.
+# CI perf gate: regenerate the cluster, drift, timing and scenario records
+# into a private temp dir and check each against its committed
+# BENCH_*.json with dice-benchdiff. Each record declares its own floors and
+# bounds; every gated figure is a same-process ratio or a deterministic
+# count, not raw events/sec, so the gate is stable across machines of
+# different speeds.
 perf-gate:
-	$(GO) run ./cmd/dice-eval -exp cluster -clusterjson /tmp/dice-benchdiff-cluster.json >/dev/null
-	$(GO) run ./cmd/dice-benchdiff -mode cluster -baseline BENCH_cluster.json -fresh /tmp/dice-benchdiff-cluster.json -tolerance 0.4
-	$(GO) run ./cmd/dice-eval -exp drift -driftjson /tmp/dice-benchdiff-drift.json >/dev/null
-	$(GO) run ./cmd/dice-benchdiff -mode drift -baseline BENCH_drift.json -fresh /tmp/dice-benchdiff-drift.json
-	$(GO) run ./cmd/dice-eval -exp timing -timingjson /tmp/dice-benchdiff-timing.json >/dev/null
-	$(GO) run ./cmd/dice-benchdiff -mode timing -baseline BENCH_timing.json -fresh /tmp/dice-benchdiff-timing.json
-	$(GO) run ./cmd/dice-eval -exp scenarios -scenariosjson /tmp/dice-benchdiff-scenarios.json >/dev/null
-	$(GO) run ./cmd/dice-benchdiff -mode scenarios -baseline BENCH_scenarios.json -fresh /tmp/dice-benchdiff-scenarios.json
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for e in cluster drift timing scenarios; do \
+		$(GO) run ./cmd/dice-eval -exp $$e -out $$tmp/$$e.json >/dev/null && \
+		$(GO) run ./cmd/dice-benchdiff -baseline BENCH_$$e.json -fresh $$tmp/$$e.json || exit 1; \
+	done

@@ -18,45 +18,26 @@ import (
 	"repro/internal/wire"
 )
 
-// ClusterBench configures the federated-hub benchmark: N in-process nodes
-// share one durable state tree, M homes stream batches over HTTP through
+// The federated-hub benchmark: clusterNodes in-process nodes share one
+// durable state tree, clusterHomes homes stream batches over HTTP through
 // one entry node, and mid-replay the bench performs one live migration and
 // one node kill. It measures what federation costs (cluster throughput over
 // solo-gateway throughput on the same streams) and what recovery buys
 // (migration latency, fail-over re-adoption latency) while holding the
 // project's core invariant: every home's final counters must equal a solo
 // gateway replay bit for bit, straight through the handoff and the crash.
-type ClusterBench struct {
-	// Nodes is the cluster size (default 3; the last node is killed).
-	Nodes int
-	// Homes is the number of tenants spread over the cluster (default 6).
-	Homes int
-	// Hours of stream replayed per home (default 2).
-	Hours int
-	// Seed drives the simulation (default 21).
-	Seed int64
-	// BatchSize is readings per DWB1 report batch (default 64).
-	BatchSize int
-}
-
-func (o ClusterBench) normalize() ClusterBench {
-	if o.Nodes < 2 {
-		o.Nodes = 3
-	}
-	if o.Homes <= 0 {
-		o.Homes = 6
-	}
-	if o.Hours <= 0 {
-		o.Hours = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 21
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
-	return o
-}
+const (
+	// clusterNodes is the cluster size; the last node is killed.
+	clusterNodes = 3
+	// clusterHomes is the number of tenants spread over the cluster.
+	clusterHomes = 6
+	// clusterHours of stream are replayed per home.
+	clusterHours = 2
+	// clusterSeed drives the simulation.
+	clusterSeed = 42
+	// clusterBatchSize is readings per DWB1 report batch.
+	clusterBatchSize = 64
+)
 
 // ClusterBenchResult is the outcome of one cluster benchmark run.
 // EventsPerSec is the cluster replay (HTTP ingest, routing, migration, and
@@ -65,33 +46,33 @@ func (o ClusterBench) normalize() ClusterBench {
 // machine-normalized number the perf gate tracks. BitIdentical reports
 // whether every home's final counters matched solo despite the drill.
 type ClusterBenchResult struct {
-	Nodes             int          `json:"nodes"`
-	Homes             int          `json:"homes"`
-	Hours             int          `json:"hours_per_home"`
-	BatchSize         int          `json:"batch_size"`
-	TrainMS           float64      `json:"train_ms"`
-	WallClockMS       float64      `json:"wall_clock_ms"`
-	SoloWallClockMS   float64      `json:"solo_wall_clock_ms"`
-	MigrationMS       float64      `json:"migration_ms"`
-	FailoverDetectMS  float64      `json:"failover_detect_ms"`
-	FailoverRecoverMS float64      `json:"failover_recover_ms"`
-	Events            int64        `json:"events"`
-	Alerts            int64        `json:"alerts"`
-	EventsPerSec      float64      `json:"events_per_sec"`
-	SoloEventsPerSec  float64      `json:"solo_events_per_sec"`
-	Efficiency        float64      `json:"efficiency"`
-	Handoffs          int64        `json:"handoffs"`
-	Failovers         int64        `json:"failovers"`
-	Replacements      int64        `json:"replacements"`
-	Retries           int64        `json:"retries"`
-	BitIdentical      bool         `json:"bit_identical"`
-	PerHome           []HomeResult `json:"per_home"`
+	Nodes             int
+	Homes             int
+	Hours             int
+	BatchSize         int
+	TrainMS           float64
+	WallClockMS       float64
+	SoloWallClockMS   float64
+	MigrationMS       float64
+	FailoverDetectMS  float64
+	FailoverRecoverMS float64
+	Events            int64
+	Alerts            int64
+	EventsPerSec      float64
+	SoloEventsPerSec  float64
+	Efficiency        float64
+	Handoffs          int64
+	Failovers         int64
+	Replacements      int64
+	Retries           int64
+	BitIdentical      bool
+	PerHome           []HomeResult
 }
 
 // HomeResult is one tenant's end-of-replay counters.
 type HomeResult struct {
-	Home  string        `json:"home"`
-	Stats gateway.Stats `json:"stats"`
+	Home  string
+	Stats gateway.Stats
 }
 
 var clusterGwOpts = []gateway.Option{
@@ -151,18 +132,17 @@ func drainAlerts(gw *gateway.Gateway) {
 	}
 }
 
-// RunClusterBench trains one context, boots o.Nodes federated nodes over
+// RunClusterBench trains one context, boots clusterNodes federated nodes over
 // loopback HTTP with a shared state tree, and replays every home's stream
 // through the cluster while live-migrating one tenant and killing one node
 // mid-stream. The solo replay of the same streams is both the throughput
 // yardstick and the bit-identity oracle.
-func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
-	o = o.normalize()
+func RunClusterBench() (*ClusterBenchResult, error) {
 	spec := simhome.SpecDHouseA()
 	spec.Name = "cluster-bench"
 	trainH := 3 * 24
-	spec.Hours = trainH + o.Homes + o.Hours + 1
-	home, err := simhome.New(spec, o.Seed)
+	spec.Hours = trainH + clusterHomes + clusterHours + 1
+	home, err := simhome.New(spec, clusterSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -190,9 +170,9 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 
 	// Per-home stream slices at staggered offsets; odd homes carry a
 	// spurious-actuation fault so the drill produces real alerts.
-	end := time.Duration(o.Hours) * time.Hour
-	names := make([]string, o.Homes)
-	streams := make([][]event.Event, o.Homes)
+	end := time.Duration(clusterHours) * time.Hour
+	names := make([]string, clusterHomes)
+	streams := make([][]event.Event, clusterHomes)
 	bulb, okBulb := home.Registry().Lookup("bulb-kitchen")
 	for i := range streams {
 		names[i] = fmt.Sprintf("home-%02d", i)
@@ -205,7 +185,7 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 				FromMinute: start,
 			})
 		}
-		evts := src.Events(start, start+o.Hours*60)
+		evts := src.Events(start, start+clusterHours*60)
 		streams[i] = make([]event.Event, len(evts))
 		for j, e := range evts {
 			e.At -= time.Duration(start) * time.Minute
@@ -227,8 +207,8 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 	resolver := func(string) (*core.Context, []gateway.Option, error) {
 		return cctx, clusterGwOpts, nil
 	}
-	ids := make([]string, o.Nodes)
-	nodes := make([]*cluster.Node, o.Nodes)
+	ids := make([]string, clusterNodes)
+	nodes := make([]*cluster.Node, clusterNodes)
 	for i := range nodes {
 		ids[i] = fmt.Sprintf("n%d", i)
 		n, err := cluster.New(ids[i],
@@ -296,11 +276,11 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 		sentMu   sync.Mutex
 		sentN    int
 		wg       sync.WaitGroup
-		sendErrs = make(chan error, o.Homes)
+		sendErrs = make(chan error, clusterHomes)
 	)
 	totalBatches := 0
 	for i := range streams {
-		totalBatches += (len(streams[i]) + o.BatchSize - 1) / o.BatchSize
+		totalBatches += (len(streams[i]) + clusterBatchSize - 1) / clusterBatchSize
 	}
 	replayStart := time.Now()
 	for i := range names {
@@ -309,8 +289,8 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 			defer wg.Done()
 			evts := streams[i]
 			var buf []byte
-			for lo := 0; lo < len(evts); lo += o.BatchSize {
-				hi := min(lo+o.BatchSize, len(evts))
+			for lo := 0; lo < len(evts); lo += clusterBatchSize {
+				hi := min(lo+clusterBatchSize, len(evts))
 				buf = wire.AppendReport(buf[:0], evts[lo:hi])
 				gate.RLock()
 				err := client.Send(context.Background(), names[i], buf)
@@ -354,7 +334,7 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 	// will survive the kill. Throughput is measured on this first third —
 	// the only window with no injected disturbance; the full wall-clock
 	// (stalls included) is reported separately.
-	killIdx := o.Nodes - 1
+	killIdx := clusterNodes - 1
 	var migrationTime time.Duration
 	if err := waitSent(totalBatches / 3); err != nil {
 		return nil, err
@@ -427,10 +407,10 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 	}
 
 	res := &ClusterBenchResult{
-		Nodes:             o.Nodes,
-		Homes:             o.Homes,
-		Hours:             o.Hours,
-		BatchSize:         o.BatchSize,
+		Nodes:             clusterNodes,
+		Homes:             clusterHomes,
+		Hours:             clusterHours,
+		BatchSize:         clusterBatchSize,
 		TrainMS:           float64(trainTime.Microseconds()) / 1000,
 		WallClockMS:       float64(wall.Microseconds()) / 1000,
 		SoloWallClockMS:   float64(soloWall.Microseconds()) / 1000,
@@ -481,4 +461,43 @@ func RunClusterBench(o ClusterBench) (*ClusterBenchResult, error) {
 		res.Efficiency = res.EventsPerSec / res.SoloEventsPerSec
 	}
 	return res, nil
+}
+
+// Record is the cluster record. Its floors: every home ends bit-identical
+// to its solo replay, and the federation efficiency may fall at most 40%
+// below the baseline's (the ratio of two throughputs measured in one
+// process, so machine speed cancels out). The per-home stats are detail.
+func (res *ClusterBenchResult) Record() *Record {
+	r := &Record{Experiment: "cluster"}
+	r.fixed("nodes", float64(res.Nodes), "count")
+	r.fixed("homes", float64(res.Homes), "count")
+	r.fixed("hours_per_home", float64(res.Hours), "h")
+	r.fixed("batch_size", float64(res.BatchSize), "count")
+	r.ms("train_ms", res.TrainMS)
+	r.ms("wall_clock_ms", res.WallClockMS)
+	r.ms("solo_wall_clock_ms", res.SoloWallClockMS)
+	r.ms("migration_ms", res.MigrationMS)
+	r.ms("failover_detect_ms", res.FailoverDetectMS)
+	r.ms("failover_recover_ms", res.FailoverRecoverMS)
+	r.add("events", float64(res.Events), "count", Higher)
+	r.add("alerts", float64(res.Alerts), "count", Lower)
+	r.add("events_per_sec", res.EventsPerSec, "1/s", Higher)
+	r.add("solo_events_per_sec", res.SoloEventsPerSec, "1/s", Higher)
+	r.gate(Metric{Name: "efficiency", Value: res.Efficiency, Unit: "ratio", Better: Higher, Bound: 0.4})
+	r.add("handoffs", float64(res.Handoffs), "count", Higher)
+	r.add("failovers", float64(res.Failovers), "count", Higher)
+	r.add("replacements", float64(res.Replacements), "count", Higher)
+	r.add("retries", float64(res.Retries), "count", Lower)
+	r.gate(Metric{Name: "bit_identical", Value: boolValue(res.BitIdentical), Unit: "bool", Better: Higher, Min: limit(1)})
+	for _, h := range res.PerHome {
+		p, st := h.Home+".", h.Stats
+		r.add(p+"events", float64(st.Events), "count", Higher)
+		r.add(p+"windows", float64(st.Windows), "count", Higher)
+		r.add(p+"violations", float64(st.Violations), "count", Lower)
+		r.add(p+"alerts", float64(st.Alerts), "count", Lower)
+		r.add(p+"alerts_dropped", float64(st.AlertsDropped), "count", Lower)
+		r.add(p+"liveness_alerts", float64(st.LivenessAlerts), "count", Lower)
+		r.add(p+"dark_devices", float64(st.DarkDevices), "count", Lower)
+	}
+	return r
 }

@@ -249,100 +249,79 @@ func pickOther(ids []device.ID, skip device.ID, trial int) device.ID {
 	return skip
 }
 
-// ScenarioBench configures the scenario-library benchmark.
-type ScenarioBench struct {
-	// TrainHours is the precomputation prefix (default 960, enough to arm
-	// the interval sketches the storm-3/4 stream faults are caught by).
-	TrainHours int
-	// CleanHours is the fault-free replay that must stay silent
-	// (default 24).
-	CleanHours int
-	// Trials is the seeded trial count per scenario (default 5).
-	Trials int
-	// Seed drives the simulation and every injection (default 17).
-	Seed int64
-}
-
-func (o ScenarioBench) normalize() ScenarioBench {
-	if o.TrainHours <= 0 {
-		o.TrainHours = 960
-	}
-	if o.CleanHours <= 0 {
-		o.CleanHours = 24
-	}
-	if o.Trials <= 0 {
-		o.Trials = 5
-	}
-	if o.Seed == 0 {
-		o.Seed = 17
-	}
-	return o
-}
+// The scenario-library benchmark's settings.
+const (
+	// scenarioTrainHours is the precomputation prefix, enough to arm the
+	// interval sketches the storm-3/4 stream faults are caught by.
+	scenarioTrainHours = 960
+	// scenarioCleanHours is the fault-free replay that must stay silent.
+	scenarioCleanHours = 24
+	// scenarioTrials is the seeded trial count per scenario.
+	scenarioTrials = 5
+	// scenarioSeed drives the simulation and every injection.
+	scenarioSeed = 17
+)
 
 // ScenarioResult scores one scenario across its trials.
 type ScenarioResult struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Benign      bool   `json:"benign"`
-	DetectOnly  bool   `json:"detect_only,omitempty"`
-	Trials      int    `json:"trials"`
+	Name       string
+	Benign     bool
+	DetectOnly bool
+	Trials     int
 	// Detected counts trials with any violation at or after the onset.
-	Detected     int     `json:"detected"`
-	DetectionPct float64 `json:"detection_pct"`
+	Detected     int
+	DetectionPct float64
 	// FalseAlarms counts concluded alerts on benign trials (the floor says
 	// zero).
-	FalseAlarms int `json:"false_alarms"`
+	FalseAlarms int
 	// Identification micro-counts across trials: alerts naming ground-truth
 	// devices (TP), alerts naming innocents (FP), ground-truth devices no
 	// alert named (FN).
-	TruePositives  int     `json:"true_positives"`
-	FalsePositives int     `json:"false_positives"`
-	FalseNegatives int     `json:"false_negatives"`
-	IdentPrecision float64 `json:"ident_precision"`
-	IdentRecall    float64 `json:"ident_recall"`
+	TruePositives  int
+	FalsePositives int
+	FalseNegatives int
+	IdentPrecision float64
+	IdentRecall    float64
 	// AllNamed counts trials whose alerts covered every injected device —
 	// the storm-2 gate quantity.
-	AllNamed    int     `json:"all_named"`
-	AllNamedPct float64 `json:"all_named_pct"`
+	AllNamed    int
+	AllNamedPct float64
 }
 
 // ScenarioBenchResult is the outcome of one scenario-library run.
 type ScenarioBenchResult struct {
-	TrainHours int   `json:"train_hours"`
-	CleanHours int   `json:"clean_hours"`
-	Trials     int   `json:"trials"`
-	Seed       int64 `json:"seed"`
-	Groups     int   `json:"groups"`
+	TrainHours int
+	CleanHours int
+	Trials     int
+	Seed       int64
+	Groups     int
 	// CleanFalseAlarms scores the fault-free replay through the multi-fault
 	// detector (must be zero for the benign floors to mean anything).
-	CleanFalseAlarms int `json:"clean_false_alarms"`
+	CleanFalseAlarms int
 	// BenignFalseAlarms totals alerts across the benign scenarios' trials
 	// (floor: zero).
-	BenignFalseAlarms int `json:"benign_false_alarms"`
+	BenignFalseAlarms int
 	// Storm2AllNamedPct is the gated headline: trials of the two-fault
 	// storm whose alerts named every injected device (floor: >= 80).
-	Storm2AllNamedPct float64 `json:"storm2_all_named_pct"`
+	Storm2AllNamedPct float64
 
-	Scenarios []ScenarioResult `json:"scenarios"`
+	Scenarios []ScenarioResult
 }
 
 // RunScenarioBench trains a multi-fault detector's context on the
-// two-resident testbed home, verifies a clean day stays silent, then runs
-// every library scenario. It errors when any benign scenario (or the clean
-// replay) raises an alert, or when the two-fault storm's alerts name every
-// injected device in fewer than 80% of trials.
-func RunScenarioBench(o ScenarioBench) (*ScenarioBenchResult, error) {
-	o = o.normalize()
+// two-resident testbed home, replays a clean day, then runs every library
+// scenario. The accuracy floors are declared on the result's Record.
+func RunScenarioBench() (*ScenarioBenchResult, error) {
 	spec := simhome.SpecDTwoR()
 	spec.Name = "scenario-bench"
 	const trialDays = 2
-	spec.Hours = o.TrainHours + o.CleanHours + trialDays*24
-	home, err := simhome.New(spec, o.Seed)
+	spec.Hours = scenarioTrainHours + scenarioCleanHours + trialDays*24
+	home, err := simhome.New(spec, scenarioSeed)
 	if err != nil {
 		return nil, err
 	}
 
-	trainW := o.TrainHours * 60
+	trainW := scenarioTrainHours * 60
 	tr := core.NewTrainer(home.Layout(), time.Minute)
 	for i := 0; i < trainW; i++ {
 		if err := tr.Calibrate(home.Window(i)); err != nil {
@@ -363,15 +342,15 @@ func RunScenarioBench(o ScenarioBench) (*ScenarioBenchResult, error) {
 	}
 
 	res := &ScenarioBenchResult{
-		TrainHours: o.TrainHours,
-		CleanHours: o.CleanHours,
-		Trials:     o.Trials,
-		Seed:       o.Seed,
+		TrainHours: scenarioTrainHours,
+		CleanHours: scenarioCleanHours,
+		Trials:     scenarioTrials,
+		Seed:       scenarioSeed,
 		Groups:     ctx.NumGroups(),
 	}
 
 	// Clean replay through the multi-fault configuration.
-	cleanW := o.CleanHours * 60
+	cleanW := scenarioCleanHours * 60
 	det, err := core.New(ctx, core.WithConfig(core.Config{MaxFaults: 2}))
 	if err != nil {
 		return nil, err
@@ -389,7 +368,7 @@ func RunScenarioBench(o ScenarioBench) (*ScenarioBenchResult, error) {
 		return nil, err
 	}
 	for _, name := range ScenarioNames() {
-		sr, err := runScenario(ctx, home, lib, name, o)
+		sr, err := runScenario(ctx, home, lib, name)
 		if err != nil {
 			return res, err
 		}
@@ -401,28 +380,51 @@ func RunScenarioBench(o ScenarioBench) (*ScenarioBenchResult, error) {
 			res.Storm2AllNamedPct = sr.AllNamedPct
 		}
 	}
-
-	switch {
-	case res.CleanFalseAlarms > 0:
-		return res, fmt.Errorf("eval: clean replay raised %d alerts", res.CleanFalseAlarms)
-	case res.BenignFalseAlarms > 0:
-		return res, fmt.Errorf("eval: benign scenarios raised %d alerts, want 0", res.BenignFalseAlarms)
-	case res.Storm2AllNamedPct < 80:
-		return res, fmt.Errorf("eval: storm-2 named every injected device in %.0f%% of trials, want >= 80%%",
-			res.Storm2AllNamedPct)
-	}
 	return res, nil
 }
 
+// Record is the scenarios record. Its floors: no alert on the clean replay
+// or any benign scenario, at least one scenario run, and the two-fault
+// storm naming every injected device in at least 80% of trials, at most
+// 15% below the baseline's rate. The per-scenario rows are detail.
+func (res *ScenarioBenchResult) Record() *Record {
+	r := &Record{Experiment: "scenarios"}
+	r.fixed("train_hours", float64(res.TrainHours), "h")
+	r.fixed("clean_hours", float64(res.CleanHours), "h")
+	r.fixed("trials", float64(res.Trials), "count")
+	r.fixed("seed", float64(res.Seed), "")
+	r.count("groups", res.Groups, Higher)
+	r.gate(Metric{Name: "clean_false_alarms", Value: float64(res.CleanFalseAlarms), Unit: "count", Better: Lower, Max: limit(0)})
+	r.gate(Metric{Name: "benign_false_alarms", Value: float64(res.BenignFalseAlarms), Unit: "count", Better: Lower, Max: limit(0)})
+	r.gate(Metric{Name: "storm2_all_named_pct", Value: res.Storm2AllNamedPct, Unit: "pct", Better: Higher, Bound: 0.15, Min: limit(80)})
+	r.gate(Metric{Name: "scenarios", Value: float64(len(res.Scenarios)), Unit: "count", Better: Higher, Min: limit(1)})
+	for _, sc := range res.Scenarios {
+		p := sc.Name + "."
+		r.fixed(p+"benign", boolValue(sc.Benign), "bool")
+		r.fixed(p+"detect_only", boolValue(sc.DetectOnly), "bool")
+		r.fixed(p+"trials", float64(sc.Trials), "count")
+		r.count(p+"detected", sc.Detected, Higher)
+		r.add(p+"detection_pct", sc.DetectionPct, "pct", Higher)
+		r.count(p+"false_alarms", sc.FalseAlarms, Lower)
+		r.count(p+"true_positives", sc.TruePositives, Higher)
+		r.count(p+"false_positives", sc.FalsePositives, Lower)
+		r.count(p+"false_negatives", sc.FalseNegatives, Lower)
+		r.add(p+"ident_precision", sc.IdentPrecision, "ratio", Higher)
+		r.add(p+"ident_recall", sc.IdentRecall, "ratio", Higher)
+		r.count(p+"all_named", sc.AllNamed, Higher)
+		r.add(p+"all_named_pct", sc.AllNamedPct, "pct", Higher)
+	}
+	return r
+}
+
 // runScenario scores all trials of one scenario.
-func runScenario(ctx *core.Context, home *simhome.Home, lib *ScenarioLibrary, name string, o ScenarioBench) (*ScenarioResult, error) {
-	sr := &ScenarioResult{Name: name, Trials: o.Trials}
-	for trial := 0; trial < o.Trials; trial++ {
-		si, err := lib.Trial(name, trial, o.Seed*1000)
+func runScenario(ctx *core.Context, home *simhome.Home, lib *ScenarioLibrary, name string) (*ScenarioResult, error) {
+	sr := &ScenarioResult{Name: name, Trials: scenarioTrials}
+	for trial := 0; trial < scenarioTrials; trial++ {
+		si, err := lib.Trial(name, trial, scenarioSeed*1000)
 		if err != nil {
 			return nil, err
 		}
-		sr.Description = si.Description
 		sr.Benign = si.Benign
 		sr.DetectOnly = si.DetectOnly
 		win, err := si.Windows(home)

@@ -168,6 +168,7 @@ func (g *Gateway) RestoreCheckpoint(cp *Checkpoint) error {
 		}
 	}
 	g.met.dark.Set(int64(g.nDark))
+	g.nextDark = scanDark
 	g.walSeq = cp.WALSeq
 	// Arm the liveness rebase: if the first post-restore clock movement
 	// jumps past the silence threshold, the gap was downtime, and last-seen

@@ -8,6 +8,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -142,12 +143,15 @@ type Gateway struct {
 	// liveExtra (ascending by ID; only those IDs ever touch it). nDark
 	// counts the entries past the silence threshold; streamNow is the
 	// furthest stream time observed (events may run ahead of the /advance
-	// horizon).
+	// horizon). nextDark is derived, never checkpointed: no entry can go
+	// dark while streamNow <= nextDark, which is at most the earliest
+	// at+threshold over seen, non-dark entries (scanDark forces a scan).
 	liveThreshold time.Duration
 	live          []liveState
 	liveExtra     []liveEntry
 	nDark         int
 	streamNow     time.Duration
+	nextDark      time.Duration
 
 	// Durability: ops append to the WAL (when attached) before mutating
 	// state; walSeq is the sequence number of the last op this gateway has
@@ -175,6 +179,10 @@ type liveState struct {
 	seen bool
 	dark bool
 }
+
+// scanDark is the nextDark value that makes the next liveness check visit
+// every entry: after a restore or rebase moves the last-seen stamps.
+const scanDark = time.Duration(math.MinInt64)
 
 // liveEntry is a tracker entry for an ID outside the registry.
 type liveEntry struct {
@@ -303,6 +311,7 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 		adapt:         o.adapt,
 		liveThreshold: o.liveness,
 		live:          make([]liveState, ctx.Layout().Registry().Len()),
+		nextDark:      scanDark,
 		wal:           o.wal,
 		home:          o.home,
 		ingestHook:    o.ingestHook,
@@ -586,6 +595,9 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 	g.observeClockLocked(e.At)
 	s := g.liveSlot(e.Device)
 	s.at, s.seen = e.At, true
+	if d := e.At + g.liveThreshold; d < g.nextDark {
+		g.nextDark = d
+	}
 	if s.dark {
 		s.dark = false // a dark device that reports again has recovered
 		g.nDark--
@@ -654,6 +666,7 @@ func (g *Gateway) observeClockLocked(t time.Duration) {
 					s.at += delta
 				}
 			})
+			g.nextDark = scanDark
 		}
 		g.rebasePending = false
 	}
@@ -818,13 +831,19 @@ func (g *Gateway) applyRecordLocked(seq uint64, rec wal.Record) {
 // checkLivenessLocked raises one fail-stop alert per device whose silence
 // exceeds the threshold; the device stays marked dark (no re-alerting)
 // until it reports again. Devices are visited in ID order so alert order
-// is deterministic.
+// is deterministic. The walk is skipped until the stream clock passes
+// nextDark, the earliest time any entry can go dark, and recomputes it.
 func (g *Gateway) checkLivenessLocked() {
-	if g.liveThreshold <= 0 {
+	if g.liveThreshold <= 0 || g.streamNow <= g.nextDark {
 		return
 	}
+	g.nextDark = math.MaxInt64
 	g.eachLive(func(id device.ID, s *liveState) {
-		if !s.seen || s.dark || g.streamNow-s.at <= g.liveThreshold {
+		if !s.seen || s.dark {
+			return
+		}
+		if g.streamNow-s.at <= g.liveThreshold {
+			g.nextDark = min(g.nextDark, s.at+g.liveThreshold)
 			return
 		}
 		s.dark = true

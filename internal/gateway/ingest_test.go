@@ -359,15 +359,16 @@ func streamBatches(evts []event.Event, size int) [][]event.Event {
 
 // BenchmarkGatewayIngestBatch prices durable and in-memory batch ingest:
 // six hours of D_houseA after training, in 64-event batches, through a
-// gateway with a SyncNever WAL ("wal") and without one ("mem"). A fresh
-// gateway (and an emptied log) takes over, off the clock, whenever the
-// stream runs out. Alerts overflow the channel and are counted as dropped,
-// as on a gateway nobody drains. Reports ns/event.
+// gateway with a WAL under each fsync policy ("always", "batch", "never")
+// and without one ("mem"). A fresh gateway (and an emptied log) takes
+// over, off the clock, whenever the stream runs out. Alerts overflow the
+// channel and are counted as dropped, as on a gateway nobody drains.
+// Reports ns/event.
 func BenchmarkGatewayIngestBatch(b *testing.B) {
 	h, ctx := trainedHome(b)
 	batches := streamBatches(h.Events(3*24*60, 3*24*60+6*60), 64)
-	for _, name := range []string{"wal", "mem"} {
-		durable := name == "wal"
+	for _, name := range []string{"always", "batch", "never", "mem"} {
+		durable := name != "mem"
 		b.Run(name, func(b *testing.B) {
 			dir := filepath.Join(b.TempDir(), "wal")
 			var (
@@ -383,8 +384,11 @@ func BenchmarkGatewayIngestBatch(b *testing.B) {
 					if err := os.RemoveAll(dir); err != nil {
 						b.Fatal(err)
 					}
-					var err error
-					if w, err = wal.Open(dir, wal.Options{Sync: wal.SyncNever}); err != nil {
+					sync, err := wal.ParseSyncPolicy(name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if w, err = wal.Open(dir, wal.Options{Sync: sync}); err != nil {
 						b.Fatal(err)
 					}
 					opts = append(opts, WithWAL(w))

@@ -111,24 +111,30 @@ func errResponse(err error) *coap.Message {
 	return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonRejected)}
 }
 
-// handleBatch decodes one DWB1 batch and routes it as a single shard op.
+// handleBatch decodes one POSTed DWB1 batch of the resource's kind and
+// routes it as a single shard op; any other method is refused, and a batch
+// of the other kind is malformed, so neither can move a tenant's clock.
 // The decode scratch is wire-pooled and returned before this function does:
 // Hub.IngestBatch copies into a hub-owned slice at enqueue because shard
 // ops apply asynchronously.
-func (f *Front) handleBatch(home string, payload []byte) *coap.Message {
+func (f *Front) handleBatch(req *coap.Message, home string, kind wire.Kind) *coap.Message {
+	if req.Code != coap.CodePOST {
+		return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonMethod)}
+	}
 	scratch := wire.GetEvents()
-	b, err := wire.DecodeBatch(payload, *scratch)
-	if err != nil {
+	b, err := wire.DecodeBatch(req.Payload, *scratch)
+	if err == nil {
+		*scratch = b.Events
+	}
+	if err != nil || b.Kind != kind {
 		wire.PutEvents(scratch)
 		f.malformed.Inc()
 		return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonBadPayload)}
 	}
-	*scratch = b.Events
 	var opErr error
-	switch b.Kind {
-	case wire.KindReport:
+	if kind == wire.KindReport {
 		opErr = f.h.IngestBatch(home, b.Events)
-	case wire.KindAdvance:
+	} else {
 		opErr = f.h.Advance(home, b.At)
 	}
 	wire.PutEvents(scratch)
@@ -142,12 +148,9 @@ func (f *Front) handle(req *coap.Message) *coap.Message {
 	res, home := f.split(req.Path())
 	switch res {
 	case "report":
-		if req.Code != coap.CodePOST {
-			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonMethod)}
-		}
-		return f.handleBatch(home, req.Payload)
+		return f.handleBatch(req, home, wire.KindReport)
 	case "advance":
-		return f.handleBatch(home, req.Payload)
+		return f.handleBatch(req, home, wire.KindAdvance)
 	case "stats":
 		// Drain first so the snapshot covers every op this client already
 		// got an ACK for — the same read-your-writes contract a solo

@@ -256,6 +256,53 @@ func TestHubFrontRejectsJSON(t *testing.T) {
 	}
 }
 
+// TestHubFrontEnforcesMethodAndKind: /report and /advance take only a POST
+// carrying a DWB1 batch of their own kind. A GET to /advance is refused
+// with 4.00 method (a GET must be safe to repeat), and an advance POSTed to
+// /report or a report POSTed to /advance is 4.00 bad-payload and counted
+// as malformed. None of them reaches the tenant.
+func TestHubFrontEnforcesMethodAndKind(t *testing.T) {
+	_, cctx := trained(t)
+	h, front := oneHomeHub(t, cctx)
+	before := settledTenant(t, h).Stats()
+
+	cli, err := coap.Dial(front.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	advance := wire.AppendAdvance(nil, 90*time.Minute)
+	report := wire.AppendReport(nil, []event.Event{{At: time.Second, Device: 0, Value: 1}})
+	for _, c := range []struct {
+		name      string
+		method    coap.Code
+		path      string
+		payload   []byte
+		reason    string
+		malformed int64
+	}{
+		{"GET /advance", coap.CodeGET, "advance", advance, gateway.ReasonMethod, 0},
+		{"advance on /report", coap.CodePOST, "report", advance, gateway.ReasonBadPayload, 1},
+		{"report on /advance", coap.CodePOST, "advance", report, gateway.ReasonBadPayload, 2},
+	} {
+		req := &coap.Message{Code: c.method, Payload: c.payload}
+		req.SetPath(c.path)
+		resp, err := cli.Do(time.Now().Add(5*time.Second), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != coap.CodeBadRequest || string(resp.Payload) != c.reason {
+			t.Errorf("%s answered %v %q, want %v %q", c.name, resp.Code, resp.Payload, coap.CodeBadRequest, c.reason)
+		}
+		if got := front.malformed.Value(); got != c.malformed {
+			t.Errorf("after %s: %s = %d, want %d", c.name, metricHubMalformed, got, c.malformed)
+		}
+		if after := settledTenant(t, h).Stats(); after != before {
+			t.Errorf("%s changed the tenant:\n before %+v\n after  %+v", c.name, before, after)
+		}
+	}
+}
+
 // TestHubDefaultHomeEndToEnd: an agent that names no tenant reports,
 // advances and reads /stats over the bare paths, and the /stats answer is
 // settled (the front drains the tenant first).
