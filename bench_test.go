@@ -162,7 +162,8 @@ func BenchmarkFig52Latency(b *testing.B) {
 
 // BenchmarkFig53ComputeTime measures the per-window computation cost of
 // the three real-time stages on the largest deployment (hh102, 112
-// sensors). The paper's bound is 50 ms per window.
+// sensors), averaged over the windows the detector timed (one in 64). The
+// paper's bound is 50 ms per window.
 func BenchmarkFig53ComputeTime(b *testing.B) {
 	t := benchTrained(b, "hh102")
 	det, err := core.New(t.Context)
@@ -170,6 +171,7 @@ func BenchmarkFig53ComputeTime(b *testing.B) {
 		b.Fatal(err)
 	}
 	var corr, trans time.Duration
+	sampled := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,13 +179,16 @@ func BenchmarkFig53ComputeTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		corr += res.Timing.Correlation
-		trans += res.Timing.Transition
+		if res.Timing.Sampled {
+			corr += res.Timing.Correlation
+			trans += res.Timing.Transition
+			sampled++
+		}
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(corr.Nanoseconds())/float64(b.N), "corr-ns/window")
-		b.ReportMetric(float64(trans.Nanoseconds())/float64(b.N), "trans-ns/window")
+	if sampled > 0 {
+		b.ReportMetric(float64(corr.Nanoseconds())/float64(sampled), "corr-ns/window")
+		b.ReportMetric(float64(trans.Nanoseconds())/float64(sampled), "trans-ns/window")
 	}
 }
 

@@ -68,11 +68,14 @@ func (k CheckKind) IsTransition() bool {
 }
 
 // Timing carries per-stage wall-clock costs for one window (Figure 5.3).
+// Process times one window in timingEvery; on the others Timing is zero.
 type Timing struct {
 	Binarize    time.Duration
 	Correlation time.Duration
 	Transition  time.Duration
 	Identify    time.Duration
+	// Sampled marks a window whose stages were timed.
+	Sampled bool
 }
 
 // Total returns the summed stage cost.
@@ -329,21 +332,39 @@ var clockAnchor = time.Now()
 // monoNow returns the monotonic time elapsed since clockAnchor.
 func monoNow() time.Duration { return time.Since(clockAnchor) }
 
+// timingEvery is the stage-timing sample period: Process reads the clocks
+// only on windows whose index is a multiple of it. Four clock reads cost
+// about as much as the rest of a clean window, and only Figure 5.3 and the
+// dice_scan_seconds histogram read them, both as distributions.
+const timingEvery = 64
+
+// stageClock reads the monotonic clock on sampled windows and returns 0 on
+// the others, so unsampled windows compute zero stage costs.
+func stageClock(sampled bool) time.Duration {
+	if !sampled {
+		return 0
+	}
+	return monoNow()
+}
+
 // Process runs one window through DICE and returns what was concluded.
-// Windows must be fed in time order. The stage costs in Result.Timing come
-// from four monotonic clock reads: at the start, after binarization, after
-// the catalogue scan, and after the checks or the identification step.
+// Windows must be fed in time order. On a sampled window (index a multiple
+// of timingEvery) the stage costs in Result.Timing come from four monotonic
+// clock reads: at the start, after binarization, after the catalogue scan,
+// and after the checks or the identification step.
 func (d *Detector) Process(o *window.Observation) (Result, error) {
 	res := Result{WindowIndex: o.Index, MainGroup: NoGroup}
+	sampled := o.Index%timingEvery == 0
+	res.Timing.Sampled = sampled
 
-	t0 := monoNow()
+	t0 := stageClock(sampled)
 	v := d.stateVec
 	if err := d.bin.StateSetInto(v, o); err != nil {
 		return Result{}, err
 	}
-	t1 := monoNow()
+	t1 := stageClock(sampled)
 	cands := d.ctx.ScanWith(&d.scanScratch, v, d.cfg.candidateDistance())
-	t2 := monoNow()
+	t2 := stageClock(sampled)
 	res.Timing.Binarize = t1 - t0
 	res.Timing.Correlation = t2 - t1
 	res.MainGroup = cands.Main
@@ -352,8 +373,8 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 		// §3.4: during the repetition, skip the checks and go straight to
 		// identification.
 		d.identifyStep(v, cands, o, &res)
-		res.Timing.Identify = monoNow() - t2
-		d.observeScan(cands, res.Timing.Correlation)
+		res.Timing.Identify = stageClock(sampled) - t2
+		d.observeScan(cands, res.Timing)
 		d.advance(cands.Main, o)
 		return res, nil
 	}
@@ -363,13 +384,13 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 	// means the cost went into correlation-style identification; otherwise
 	// it went into transition checking).
 	finding := d.runChecks(CheckInput{Obs: o, Vec: v, Cands: cands})
-	cost := monoNow() - t2
+	cost := stageClock(sampled) - t2
 	if cands.Main == NoGroup {
 		res.Timing.Identify = cost
 	} else {
 		res.Timing.Transition = cost
 	}
-	d.observeScan(cands, res.Timing.Correlation)
+	d.observeScan(cands, res.Timing)
 
 	if finding != nil {
 		d.met.violation(finding.Cause)
@@ -392,11 +413,14 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 	return res, nil
 }
 
-// observeScan records one window's scan in the telemetry instruments. It
-// runs after the last stage clock read, so no stage is charged for it.
-func (d *Detector) observeScan(cands Candidates, cost time.Duration) {
+// observeScan records one window's scan in the telemetry instruments; the
+// scan latency only on sampled windows. It runs after the last stage clock
+// read, so no stage is charged for it.
+func (d *Detector) observeScan(cands Candidates, tm Timing) {
 	d.met.windows.Inc()
-	d.met.scanSeconds.ObserveDuration(cost)
+	if tm.Sampled {
+		d.met.scanSeconds.ObserveDuration(tm.Correlation)
+	}
 	if cands.Main != NoGroup {
 		d.met.scanExact.Inc()
 	} else {

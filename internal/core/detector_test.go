@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/telemetry"
 	"repro/internal/window"
 )
 
@@ -403,18 +404,53 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
+// TestTimingPopulated checks that Process fills Timing exactly on the windows
+// whose index is a multiple of timingEvery, and that dice_scan_seconds
+// observes only those.
 func TestTimingPopulated(t *testing.T) {
 	l, ctx := trainAlternating(t)
-	d := newTestDetector(t, ctx, Config{})
-	res, err := d.Process(evenObs(l, 0))
+	reg := telemetry.NewRegistry()
+	d, err := New(ctx, WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timing.Binarize <= 0 || res.Timing.Correlation <= 0 {
-		t.Errorf("timing not populated: %+v", res.Timing)
+	sampled := 0
+	for idx := 0; idx <= 3*timingEvery; idx++ {
+		o := evenObs(l, idx)
+		if idx%2 == 1 {
+			o = oddObs(l, idx)
+		}
+		res, err := d.Process(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := idx%timingEvery == 0
+		if res.Timing.Sampled != want {
+			t.Fatalf("window %d: Sampled = %v, want %v", idx, res.Timing.Sampled, want)
+		}
+		if !want {
+			if res.Timing != (Timing{}) {
+				t.Fatalf("window %d: unsampled timing %+v, want zero", idx, res.Timing)
+			}
+			continue
+		}
+		sampled++
+		if res.Timing.Binarize <= 0 || res.Timing.Correlation <= 0 {
+			t.Errorf("window %d: timing not populated: %+v", idx, res.Timing)
+		}
+		if res.Timing.Total() < res.Timing.Binarize {
+			t.Error("Total less than a component")
+		}
 	}
-	if res.Timing.Total() < res.Timing.Binarize {
-		t.Error("Total less than a component")
+	if sampled != 4 {
+		t.Fatalf("sampled %d windows, want 4", sampled)
+	}
+	snap := reg.SnapshotMap()
+	if got := snap[metricScanSeconds+"_count"]; got != float64(sampled) {
+		t.Errorf("%s_count = %v, want %d", metricScanSeconds, got, sampled)
+	}
+	if got := snap[metricWindows]; got != float64(3*timingEvery+1) {
+		t.Errorf("%s = %v, want %d", metricWindows, got, 3*timingEvery+1)
 	}
 }
 

@@ -117,7 +117,7 @@ func newDetMetrics(reg *telemetry.Registry) detMetrics {
 		windows:      reg.Counter(metricWindows, "Windows processed by the real-time detector."),
 		scanExact:    reg.Counter(metricScanExact, "Correlation scans resolved by the exact-hash short-circuit."),
 		scanBucket:   reg.Counter(metricScanBucket, "Correlation scans that walked the popcount buckets (no exact match)."),
-		scanSeconds:  reg.Histogram(metricScanSeconds, "Correlation scan latency in seconds.", telemetry.ExpBuckets(1e-7, 4, 10)),
+		scanSeconds:  reg.Histogram(metricScanSeconds, "Correlation scan latency in seconds, observed on one window in 64 (window index a multiple of 64).", telemetry.ExpBuckets(1e-7, 4, 10)),
 		scanDistance: reg.Histogram(metricScanDistance, "Hamming distance to the nearest group on non-exact scans.", telemetry.LinearBuckets(1, 1, 8)),
 		violations:   reg.CounterVec(metricViolations, "Detected violations by cause.", "cause", CauseNames()),
 		episodes:     reg.Counter(metricEpisodes, "Identification episodes concluded."),

@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/simhome"
@@ -291,5 +292,31 @@ func TestActuatorProtocol(t *testing.T) {
 		if !c.IsActuatorFault() {
 			t.Errorf("non-actuator class %v", c)
 		}
+	}
+}
+
+// TestActuatorAccuracyTimingDetection runs the §5.1.3 actuator experiment
+// on D_houseA, whose context is timing-capable and whose timing check
+// fires on some trial. Detection latency is keyed by every check family,
+// so a timing detection has a bucket to land in.
+func TestActuatorAccuracyTimingDetection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluation integration test")
+	}
+	p := ActuatorProtocol(DefaultProtocol())
+	p.Trials = 20
+	tr, err := Train(simhome.SpecDHouseA(), 42, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Context.TimingCapable() {
+		t.Fatal("D_houseA context is not timing-capable; the timing check cannot fire")
+	}
+	r, err := EvaluateTrainedWorkers(tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.DetectMinutesByCheck[core.FamilyTiming]; !ok {
+		t.Fatalf("no trial was detected by the timing check (latency by family %v); the test is vacuous", r.DetectMinutesByCheck)
 	}
 }

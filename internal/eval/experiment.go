@@ -132,8 +132,10 @@ func EvaluateTrainedWorkers(t *Trained, workers int) (*DatasetResult, error) {
 		if out.Detected {
 			falsePos++
 		}
-		corrT.Add(float64(out.MeanCorrelation))
-		transT.Add(float64(out.MeanTransition))
+		if out.TimedWindows > 0 {
+			corrT.Add(float64(out.MeanCorrelation))
+			transT.Add(float64(out.MeanTransition))
+		}
 	}
 	r.FaultFreeSegments = t.NumSegments()
 	r.FalsePositives = falsePos
@@ -169,6 +171,7 @@ func EvaluateTrainedWorkers(t *Trained, workers int) (*DatasetResult, error) {
 	var detLatency, identLatency MeanAccumulator
 	latencyByCheck := map[string]*MeanAccumulator{
 		core.FamilyCorrelation: {}, core.FamilyTransition: {},
+		core.FamilyTiming: {}, core.FamilyGhost: {}, core.FamilyLiveness: {},
 	}
 	minutesPerWindow := float64(proto.WindowsPerAggregate)
 	var identTotal time.Duration

@@ -244,14 +244,17 @@ type SegmentOutcome struct {
 	// IdentifiedWindow is the segment-relative window of the first alert
 	// (-1 when none).
 	IdentifiedWindow int
-	// Timing aggregates mean per-window stage costs.
+	// Timing aggregates mean per-window stage costs over the TimedWindows
+	// windows the detector sampled (core.Timing.Sampled); all three are
+	// zero when the segment had none.
 	MeanBinarize    time.Duration
 	MeanCorrelation time.Duration
 	MeanTransition  time.Duration
+	TimedWindows    int
 	// IdentifyTotal is the identification cost summed over the
-	// IdentifyWindows windows that ran inside an identification episode.
-	// It is a sum with its window count, not a per-window mean, so trials
-	// pool by window: identification runs on a handful of a faulty
+	// IdentifyWindows sampled windows that ran inside an identification
+	// episode. It is a sum with its window count, not a per-window mean, so
+	// trials pool by window: identification runs on a handful of a faulty
 	// segment's windows and on none of a clean one's.
 	IdentifyTotal   time.Duration
 	IdentifyWindows int
@@ -331,12 +334,15 @@ func (t *Trained) RunSegment(seg int, inj *faults.Injector) (SegmentOutcome, err
 		if err != nil {
 			return out, err
 		}
-		bSum += res.Timing.Binarize
-		cSum += res.Timing.Correlation
-		tSum += res.Timing.Transition
-		if res.Identifying {
-			out.IdentifyTotal += res.Timing.Identify
-			out.IdentifyWindows++
+		if res.Timing.Sampled {
+			bSum += res.Timing.Binarize
+			cSum += res.Timing.Correlation
+			tSum += res.Timing.Transition
+			out.TimedWindows++
+			if res.Identifying {
+				out.IdentifyTotal += res.Timing.Identify
+				out.IdentifyWindows++
+			}
 		}
 		if res.Detected && !out.Detected && w >= ignoreBefore {
 			out.Detected = true
@@ -348,10 +354,11 @@ func (t *Trained) RunSegment(seg int, inj *faults.Injector) (SegmentOutcome, err
 			out.IdentifiedWindow = w
 		}
 	}
-	n := time.Duration(segLen)
-	out.MeanBinarize = bSum / n
-	out.MeanCorrelation = cSum / n
-	out.MeanTransition = tSum / n
+	if n := time.Duration(out.TimedWindows); n > 0 {
+		out.MeanBinarize = bSum / n
+		out.MeanCorrelation = cSum / n
+		out.MeanTransition = tSum / n
+	}
 	return out, nil
 }
 

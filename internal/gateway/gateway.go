@@ -90,7 +90,7 @@ func newGwMetrics(reg *telemetry.Registry) gwMetrics {
 		events:        reg.Counter(metricGwEvents, "Events ingested by the gateway."),
 		windows:       reg.Counter(metricGwWindows, "Windows run through the online detector."),
 		violations:    reg.Counter(metricGwViolations, "Windows on which a check fired."),
-		alerts:        reg.Counter(metricGwAlerts, "Alerts delivered to the alert channel."),
+		alerts:        reg.Counter(metricGwAlerts, "Alerts delivered to the alert channel or sink."),
 		alertsDropped: reg.Counter(metricGwAlertsDropped, "Alerts dropped because the channel buffer was full."),
 		liveness:      reg.Counter(metricGwLiveness, "Fail-stop alerts raised by the silence tracker."),
 		dark:          reg.Gauge(metricGwDark, "Devices currently past the silence threshold."),
@@ -117,7 +117,8 @@ type Gateway struct {
 	det     *core.Detector
 	builder *window.Builder
 	reg     *device.Registry
-	alerts  chan Alert
+	alerts  chan Alert  // nil when sink is set
+	sink    func(Alert) // WithAlertSink; runs under mu
 	tel     *telemetry.Registry
 	met     gwMetrics
 	horizon time.Duration
@@ -198,6 +199,7 @@ type gwOptions struct {
 	liveness   time.Duration
 	tel        *telemetry.Registry
 	alertBuf   int
+	alertSink  func(Alert)
 	wal        *wal.Log
 	home       string
 	ingestHook func(event.Event) error
@@ -229,9 +231,21 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 }
 
 // WithAlertBuffer sets the alert channel capacity (default 64). A full
-// buffer drops alerts (counted) rather than blocking detection.
+// buffer drops alerts (counted) rather than blocking detection. It has no
+// effect with WithAlertSink, which replaces the channel.
 func WithAlertBuffer(n int) Option {
 	return func(o *gwOptions) { o.alertBuf = n }
+}
+
+// WithAlertSink hands every alert to fn instead of the alert channel, which
+// is then never allocated: Alerts returns nil and nothing is counted as
+// dropped. fn runs on the goroutine that concluded the alert (the ingest or
+// replay caller), with the gateway lock held, so it must not call back into
+// this gateway; whatever it blocks on blocks detection. It exists for
+// collaborators that own delivery, like the hub, whose sink forwards to its
+// merged channel with back-pressure instead of a drop.
+func WithAlertSink(fn func(Alert)) Option {
+	return func(o *gwOptions) { o.alertSink = fn }
 }
 
 // WithWAL attaches an opened write-ahead log: every accepted Ingest and
@@ -290,6 +304,10 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 	if o.alertBuf <= 0 {
 		o.alertBuf = 64
 	}
+	var alerts chan Alert
+	if o.alertSink == nil {
+		alerts = make(chan Alert, o.alertBuf)
+	}
 	tel := o.tel
 	if tel == nil {
 		tel = telemetry.NewRegistry()
@@ -304,7 +322,8 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 		det:           det,
 		builder:       builder,
 		reg:           ctx.Layout().Registry(),
-		alerts:        make(chan Alert, o.alertBuf),
+		alerts:        alerts,
+		sink:          o.alertSink,
 		tel:           tel,
 		met:           newGwMetrics(tel),
 		cfg:           o.cfg,
@@ -334,7 +353,8 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 func (g *Gateway) Telemetry() *telemetry.Registry { return g.tel }
 
 // Alerts returns the alert channel. It is never closed; buffer overruns
-// increment Stats.AlertsDropped rather than blocking detection.
+// increment Stats.AlertsDropped rather than blocking detection. It is nil
+// on a gateway built WithAlertSink, whose alerts go to the sink instead.
 func (g *Gateway) Alerts() <-chan Alert { return g.alerts }
 
 // Run pumps the alert channel into onAlert until ctx is cancelled, then
@@ -342,7 +362,8 @@ func (g *Gateway) Alerts() <-chan Alert { return g.alerts }
 // ad-hoc select-on-stop-channel loops callers used to write: ingestion
 // stays on the caller's goroutines (Ingest/AdvanceTo are thread-safe), Run
 // owns delivery. A nil onAlert discards alerts but still keeps the buffer
-// from overflowing.
+// from overflowing. On a gateway built WithAlertSink there is no channel:
+// Run only waits for ctx, and the sink is the delivery path.
 func (g *Gateway) Run(ctx context.Context, onAlert func(Alert)) error {
 	deliver := func(a Alert) {
 		if onAlert != nil {
@@ -982,13 +1003,19 @@ func (g *Gateway) emit(a *core.Alert, d time.Duration) {
 const replayYields = 16
 
 // deliverLocked records the alert as the last one emitted and hands it to
-// the channel, counting a drop instead of blocking when the buffer is full.
-// Replay re-emits a tail's alerts at read speed, faster than a consumer
-// that is runnable but not running drains them, so a replaying gateway
-// first yields the processor a bounded number of times to let it catch up.
+// the sink if there is one. Otherwise it goes to the channel, counting a
+// drop instead of blocking when the buffer is full. Replay re-emits a
+// tail's alerts at read speed, faster than a consumer that is runnable but
+// not running drains them, so a replaying gateway first yields the
+// processor a bounded number of times to let it catch up.
 func (g *Gateway) deliverLocked(out Alert) {
 	last := out
 	g.lastAlert = &last
+	if g.sink != nil {
+		g.met.alerts.Inc()
+		g.sink(out)
+		return
+	}
 	for try := 0; ; try++ {
 		select {
 		case g.alerts <- out:

@@ -91,7 +91,7 @@ func newHubMetrics(reg *telemetry.Registry) hubMetrics {
 		tenants:       reg.Gauge(metricHubTenants, "Homes currently registered with the hub."),
 		evictions:     reg.Counter(metricHubEvictions, "Tenants evicted (explicitly or by idle timeout)."),
 		rebalances:    reg.Counter(metricHubRebalances, "Shard pool resizes."),
-		alertsDropped: reg.Counter(metricHubAlertsDropped, "Tenant alerts dropped because the hub buffer was full."),
+		alertsDropped: reg.Counter(metricHubAlertsDropped, "Tenant alerts dropped because the hub buffer was full when Close or Kill began."),
 		ingestErrors:  reg.Counter(metricHubIngestErrors, "Shard ops rejected by a tenant gateway."),
 		panics:        reg.Counter(metricHubPanics, "Tenant dispatch panics caught by the supervisor."),
 		restarts:      reg.Counter(metricHubRestarts, "Tenant gateways rebuilt from durable state after a panic."),
@@ -192,11 +192,8 @@ type tenant struct {
 	// cost this tenant; it drives HealthDegraded.
 	lastShed atomic.Int64
 
-	// sup serializes forwarder lifecycle and restart against eviction.
-	// stop ends the alert forwarder; fwdDone confirms it drained and left.
-	sup     sync.Mutex
-	stop    chan struct{}
-	fwdDone chan struct{}
+	// sup serializes supervised restart against eviction.
+	sup sync.Mutex
 }
 
 // gateway returns the tenant's live gateway.
@@ -293,9 +290,9 @@ func WithQueueDepth(n int) Option {
 }
 
 // WithAlertBuffer sets the hub alert channel capacity (default 256). A
-// full buffer blocks the per-tenant forwarders until the consumer catches
-// up; alerts are dropped (counted) only when a forwarder stops with the
-// buffer still full.
+// full buffer blocks the shard worker that raised the next alert until the
+// consumer catches up, so ops queued behind it wait too; alerts are dropped
+// (counted) only when Close or Kill begins while a send is blocked.
 func WithAlertBuffer(n int) Option {
 	return func(o *options) { o.alertBuf = n }
 }
@@ -379,9 +376,13 @@ type Hub struct {
 	closed  bool
 
 	alerts chan TenantAlert
-	tel    *telemetry.Registry
-	met    hubMetrics
-	o      options
+	// stopping is closed when Close or Kill begins, releasing alert sends
+	// blocked on a full buffer so the shards can drain.
+	stopping     chan struct{}
+	stoppingOnce sync.Once
+	tel          *telemetry.Registry
+	met          hubMetrics
+	o            options
 
 	// killed models a SIGKILL for crash drills: once set, workers discard
 	// queued data ops (a real kill would lose them too) and Kill closes the
@@ -416,12 +417,13 @@ func New(opts ...Option) (*Hub, error) {
 	}
 	tel := telemetry.NewRegistry()
 	h := &Hub{
-		tenants: make(map[string]*tenant),
-		evicted: make(map[string]bool),
-		alerts:  make(chan TenantAlert, o.alertBuf),
-		tel:     tel,
-		met:     newHubMetrics(tel),
-		o:       o,
+		tenants:  make(map[string]*tenant),
+		evicted:  make(map[string]bool),
+		alerts:   make(chan TenantAlert, o.alertBuf),
+		stopping: make(chan struct{}),
+		tel:      tel,
+		met:      newHubMetrics(tel),
+		o:        o,
 	}
 	h.shards = h.startShards(o.shards)
 	return h, nil
@@ -482,9 +484,38 @@ func (h *Hub) worker(s *shard) {
 // whatever the CoAP front registers).
 func (h *Hub) Telemetry() *telemetry.Registry { return h.tel }
 
-// Alerts returns the merged tenant alert channel. It is never closed;
-// buffer overruns are counted, not blocking.
+// Alerts returns the merged tenant alert channel. It is never closed. Each
+// tenant's alerts arrive in the order its gateway raised them. A full
+// buffer blocks the raising shard worker (back-pressure, not a drop), so
+// the hub needs a consumer that keeps receiving, also while DrainAll,
+// CheckpointAll or Evict wait on the shards: Run is one.
 func (h *Hub) Alerts() <-chan TenantAlert { return h.alerts }
+
+// alertSink is a tenant gateway's alert sink: it tags the alert with the
+// home and sends it to the merged channel on the shard worker that raised
+// it. The plain send first keeps a buffer with room from racing the stop
+// signal; once Close or Kill has begun, a send that would block is dropped
+// and counted instead.
+func (h *Hub) alertSink(home string) func(gateway.Alert) {
+	return func(a gateway.Alert) {
+		ta := TenantAlert{Home: home, Alert: a}
+		select {
+		case h.alerts <- ta:
+			return
+		default:
+		}
+		select {
+		case h.alerts <- ta:
+		case <-h.stopping:
+			h.met.alertsDropped.Inc()
+		}
+	}
+}
+
+// stop releases blocked alert sends; Close and Kill call it before they
+// take the lock, because an enqueue blocked on a full shard queue holds
+// the read lock while that shard waits on the alert buffer.
+func (h *Hub) stop() { h.stoppingOnce.Do(func() { close(h.stopping) }) }
 
 // validHome rejects IDs that would break routing (empty, path separators).
 func validHome(home string) error {
@@ -517,9 +548,10 @@ func (h *Hub) Register(home string, cctx *core.Context, opts ...gateway.Option) 
 	tel := telemetry.NewRegistry()
 	// The resolved option set is stored on the tenant so a supervised
 	// restart rebuilds an identical pipeline: same registry (counters
-	// resume via checkpoint restore), same WAL, same dead-letter sink.
+	// resume via checkpoint restore), same WAL, same dead-letter and
+	// alert sinks.
 	resolved := append(append([]gateway.Option(nil), opts...),
-		gateway.WithTelemetry(tel), gateway.WithHome(home))
+		gateway.WithTelemetry(tel), gateway.WithHome(home), gateway.WithAlertSink(h.alertSink(home)))
 	t := &tenant{
 		home: home,
 		tel:  tel,
@@ -549,55 +581,11 @@ func (h *Hub) Register(home string, cctx *core.Context, opts ...gateway.Option) 
 		return nil, err
 	}
 	t.gw.Store(gw)
-	t.stop = make(chan struct{})
-	t.fwdDone = make(chan struct{})
 	t.lastOp.Store(time.Now().UnixNano())
 	h.tenants[home] = t
 	delete(h.evicted, home)
 	h.met.tenants.Set(int64(len(h.tenants)))
-	go h.forward(t, gw, t.stop, t.fwdDone)
 	return &Tenant{h: h, t: t}, nil
-}
-
-// forward pumps one gateway's alert channel into the hub channel, tagging
-// each alert with the home. Per-tenant order is preserved (one forwarder,
-// FIFO channels); cross-tenant interleaving is scheduling-dependent. A full
-// hub channel blocks the forwarder rather than dropping alerts, so a slow
-// consumer pushes back on the gateway's own buffer; only the flush on stop
-// is non-blocking, dropping (and counting) what no consumer takes. The
-// gateway and channels are parameters, not read from the tenant, because a
-// supervised restart swaps all three: the old forwarder flushes the old
-// pipe and exits, the new one binds to the rebuilt gateway. Alert delivery
-// across a restart is therefore at-least-once — replay re-emits alerts
-// newer than the last checkpoint.
-func (h *Hub) forward(t *tenant, gw *gateway.Gateway, stop, fwdDone chan struct{}) {
-	defer close(fwdDone)
-	flush := func(a gateway.Alert) {
-		select {
-		case h.alerts <- TenantAlert{Home: t.home, Alert: a}:
-		default:
-			h.met.alertsDropped.Inc()
-		}
-	}
-	for {
-		select {
-		case <-stop:
-			for {
-				select {
-				case a := <-gw.Alerts():
-					flush(a)
-				default:
-					return
-				}
-			}
-		case a := <-gw.Alerts():
-			select {
-			case h.alerts <- TenantAlert{Home: t.home, Alert: a}:
-			case <-stop:
-				flush(a)
-			}
-		}
-	}
 }
 
 // Tenant looks up a registered home.
@@ -792,8 +780,8 @@ func (h *Hub) CheckpointAll() error {
 }
 
 // Evict unregisters a home: new ops are rejected immediately, in-flight
-// shard ops drain, the alert forwarder flushes, and a final checkpoint is
-// written. The home can re-register later and resume from it.
+// shard ops drain (their alerts reach the hub channel), and a final
+// checkpoint is written. The home can re-register later and resume from it.
 func (h *Hub) Evict(home string) error {
 	h.mu.Lock()
 	if h.closed {
@@ -820,7 +808,6 @@ func (h *Hub) Evict(home string) error {
 	// side holds sup first wins cleanly.
 	t.sup.Lock()
 	t.health.Store(int32(HealthEvicted))
-	t.stopForwarderLocked()
 	t.sup.Unlock()
 	h.updateQuarantineGauge()
 	h.met.evictions.Inc()
@@ -912,17 +899,42 @@ func (h *Hub) ShardStats() []ShardStat {
 	return out
 }
 
-// Run pumps merged tenant alerts into onAlert (nil discards) and owns the
-// hub's housekeeping — periodic checkpoints and idle eviction, when
-// configured — until ctx is cancelled. On the way out it drains buffered
-// alerts and writes a final checkpoint for every tenant. It replaces the
-// ad-hoc stop-channel loops single-gateway callers used to write.
+// Run pumps merged tenant alerts into onAlert (nil discards) until ctx is
+// cancelled and owns the hub's housekeeping: periodic checkpoints and idle
+// eviction, when configured, and a final checkpoint for every tenant on
+// the way out. Housekeeping runs on its own goroutine, because it drains
+// the shards, and a shard blocked on a full alert buffer only moves while
+// Run keeps receiving. Alerts buffered when the final checkpoint returns
+// are delivered before Run returns. It replaces the ad-hoc stop-channel
+// loops single-gateway callers used to write.
 func (h *Hub) Run(ctx context.Context, onAlert func(TenantAlert)) error {
 	deliver := func(a TenantAlert) {
 		if onAlert != nil {
 			onAlert(a)
 		}
 	}
+	done := make(chan error, 1)
+	go func() { done <- h.housekeep(ctx) }()
+	for {
+		select {
+		case a := <-h.alerts:
+			deliver(a)
+		case err := <-done:
+			for {
+				select {
+				case a := <-h.alerts:
+					deliver(a)
+				default:
+					return err
+				}
+			}
+		}
+	}
+}
+
+// housekeep runs Run's checkpoint and idle-eviction ticks until ctx is
+// cancelled, then writes the final checkpoints.
+func (h *Hub) housekeep(ctx context.Context) error {
 	var cpC, idleC <-chan time.Time
 	if h.o.cpInterval > 0 {
 		tick := time.NewTicker(h.o.cpInterval)
@@ -939,20 +951,11 @@ func (h *Hub) Run(ctx context.Context, onAlert func(TenantAlert)) error {
 	for {
 		select {
 		case <-ctx.Done():
-			for {
-				select {
-				case a := <-h.alerts:
-					deliver(a)
-				default:
-					err := h.CheckpointAll()
-					if errors.Is(err, ErrClosed) {
-						err = nil
-					}
-					return err
-				}
+			err := h.CheckpointAll()
+			if errors.Is(err, ErrClosed) {
+				err = nil
 			}
-		case a := <-h.alerts:
-			deliver(a)
+			return err
 		case <-cpC:
 			h.CheckpointAll() //nolint:errcheck // periodic; final write happens on exit
 		case <-idleC:
@@ -961,9 +964,12 @@ func (h *Hub) Run(ctx context.Context, onAlert func(TenantAlert)) error {
 	}
 }
 
-// Close drains the shards, stops the workers and forwarders, and writes a
-// final checkpoint per tenant. The hub is unusable afterwards.
+// Close drains the shards, stops the workers, and writes a final
+// checkpoint per tenant. Alerts the buffer cannot take once Close has
+// begun are dropped and counted, so it returns without a consumer. The hub
+// is unusable afterwards.
 func (h *Hub) Close() error {
+	h.stop()
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -985,9 +991,6 @@ func (h *Hub) Close() error {
 	}
 	var first error
 	for _, t := range ts {
-		t.sup.Lock()
-		t.stopForwarderLocked()
-		t.sup.Unlock()
 		if err := h.checkpointTenant(t); err != nil && first == nil {
 			first = err
 		}
@@ -1008,6 +1011,7 @@ func (h *Hub) Close() error {
 // (Goroutines are still reaped, because the drill shares our process.)
 func (h *Hub) Kill() {
 	h.killed.Store(true)
+	h.stop()
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -1028,9 +1032,6 @@ func (h *Hub) Kill() {
 		<-s.done
 	}
 	for _, t := range ts {
-		t.sup.Lock()
-		t.stopForwarderLocked()
-		t.sup.Unlock()
 		if t.wl != nil {
 			t.wl.Close() //nolint:errcheck // dying; durability already on disk
 		}

@@ -102,7 +102,6 @@ func (h *Hub) ExportTenant(home string) (*ExportedTenant, error) {
 	h.mu.Unlock()
 	t.sup.Lock()
 	t.health.Store(int32(HealthEvicted))
-	t.stopForwarderLocked()
 	t.sup.Unlock()
 	h.updateQuarantineGauge()
 	h.met.evictions.Inc()

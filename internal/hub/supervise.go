@@ -89,17 +89,6 @@ func (h *Hub) updateQuarantineGauge() {
 	h.met.quarantined.Set(int64(n))
 }
 
-// stopForwarderLocked ends the tenant's alert forwarder and waits for it
-// to flush. Caller holds t.sup; safe to call twice.
-func (t *tenant) stopForwarderLocked() {
-	if t.stop == nil {
-		return
-	}
-	close(t.stop)
-	<-t.fwdDone
-	t.stop = nil
-}
-
 // onPanic is the supervisor's catch: the op that blew up is captured to
 // the tenant's dead-letter file, the tenant is quarantined (its in-memory
 // state is now suspect and will never be checkpointed), and — unless the
@@ -184,11 +173,7 @@ func (h *Hub) restartTenant(t *tenant) {
 		h.met.breakerTrips.Inc()
 		return
 	}
-	t.stopForwarderLocked()
 	t.gw.Store(gw)
-	t.stop = make(chan struct{})
-	t.fwdDone = make(chan struct{})
-	go h.forward(t, gw, t.stop, t.fwdDone)
 	t.suspect.Store(false)
 	t.health.Store(int32(HealthHealthy))
 	h.met.restarts.Inc()

@@ -80,9 +80,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type SyncPolicy int
 
 const (
-	// SyncBatch fsyncs every Options.BatchEvery appends (and on rotation
-	// and Close): bounded loss, amortized flush cost. The zero value,
-	// because it is the default.
+	// SyncBatch fsyncs once Options.BatchEvery records have been appended
+	// since the last fsync (and on rotation and Close). It counts records,
+	// not appends, so an AppendBatch of BatchEvery or more events fsyncs
+	// on every call, exactly as SyncAlways does. The zero value, because
+	// it is the default.
 	SyncBatch SyncPolicy = iota
 	// SyncAlways fsyncs after every append: nothing acknowledged is ever
 	// lost, at the cost of one disk flush per op.
@@ -128,8 +130,8 @@ type Options struct {
 	// bytes (default 512 KiB). Rotation bounds what a checkpoint can
 	// truncate and keeps any one replay file small.
 	SegmentSize int64
-	// BatchEvery is the append count between fsyncs under SyncBatch
-	// (default 64).
+	// BatchEvery is the record count between fsyncs under SyncBatch
+	// (default 64); a batch append counts each of its records.
 	BatchEvery int
 	// Telemetry registers the dice_wal_* instruments; nil leaves the log
 	// uninstrumented (all instruments are nil-safe).
