@@ -32,12 +32,12 @@ test:
 # perfbench is a nested module (replace repro => ../), so the root vet and
 # test never build it. Vet it and run its smoke test here, so an internal
 # API change cannot silently break the benchmark. One iteration of each
-# ingest-path micro-benchmark (gateway, WAL, window builder) and of the
-# detector's per-window benchmarks (core) runs too, so they cannot rot
-# unnoticed either.
+# ingest-path micro-benchmark (CoAP codec, client and exchange cache,
+# gateway, WAL, window builder) and of the detector's per-window
+# benchmarks (core) runs too, so they cannot rot unnoticed either.
 bench-smoke:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core/ ./internal/gateway/ ./internal/wal/ ./internal/window/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/coap/ ./internal/core/ ./internal/gateway/ ./internal/wal/ ./internal/window/
 
 # The evaluation harness fans trials across goroutines; always race-check it.
 race:

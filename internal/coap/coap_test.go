@@ -441,8 +441,9 @@ func garbageConnWrite(c *Client, data []byte) (int, error) {
 }
 
 // TestMessageCodecAllocs pins the per-message cost of the codec: Marshal
-// of ascending options is one exact-size buffer, Unmarshal is the message,
-// one copy of the datagram and the option slice, Path is the joined string.
+// of ascending options is one exact-size buffer, AppendTo into a buffer
+// with room is none, Unmarshal is the message, one copy of the datagram
+// and the option slice, Path is the joined string.
 func TestMessageCodecAllocs(t *testing.T) {
 	m := &Message{Type: Confirmable, Code: CodePOST, MessageID: 1, Token: []byte{1, 2, 3, 4}}
 	m.SetPath("report/home-07")
@@ -457,6 +458,13 @@ func TestMessageCodecAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { m.Marshal() }); n != 1 { //nolint:errcheck
 		t.Errorf("Marshal: %v allocs, want 1", n)
+	}
+	buf := make([]byte, 0, 2*len(data))
+	if n := testing.AllocsPerRun(100, func() { buf, _ = m.AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo a grown buffer: %v allocs, want 0", n)
+	}
+	if !bytes.Equal(buf, data) {
+		t.Errorf("AppendTo encoded %x, Marshal %x", buf, data)
 	}
 	if n := testing.AllocsPerRun(100, func() { Unmarshal(data) }); n > 3 { //nolint:errcheck
 		t.Errorf("Unmarshal: %v allocs, want <= 3", n)

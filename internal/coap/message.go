@@ -142,9 +142,14 @@ const payloadMarker = 0xFF
 // Marshal encodes the message to its wire form in one exact-size
 // allocation. Options already in ascending number order, as SetPath and
 // Unmarshal leave them, are encoded in place; otherwise a sorted copy is.
-func (m *Message) Marshal() ([]byte, error) {
+func (m *Message) Marshal() ([]byte, error) { return m.AppendTo(nil) }
+
+// AppendTo appends the message's wire form to buf and returns the extended
+// slice. When buf lacks room it grows once, to exactly the size needed, so
+// a caller that reuses its buffer encodes without allocating.
+func (m *Message) AppendTo(buf []byte) ([]byte, error) {
 	if len(m.Token) > 8 {
-		return nil, fmt.Errorf("coap: token longer than 8 bytes")
+		return buf, fmt.Errorf("coap: token longer than 8 bytes")
 	}
 	// Options must be encoded in ascending number order with deltas.
 	opts := m.Options
@@ -167,7 +172,9 @@ func (m *Message) Marshal() ([]byte, error) {
 		size += 1 + len(m.Payload)
 	}
 
-	buf := make([]byte, 0, size)
+	if cap(buf)-len(buf) < size {
+		buf = append(make([]byte, 0, len(buf)+size), buf...)
+	}
 	buf = append(buf, byte(Version<<6)|byte(m.Type)<<4|byte(len(m.Token)))
 	buf = append(buf, byte(m.Code))
 	buf = binary.BigEndian.AppendUint16(buf, m.MessageID)

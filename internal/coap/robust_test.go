@@ -264,93 +264,36 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-func TestDedupExportRestoreRoundTrip(t *testing.T) {
-	var calls int64
-	srv, err := ListenAndServe("127.0.0.1:0", func(req *Message) *Message {
-		atomic.AddInt64(&calls, 1)
-		return &Message{Code: CodeChanged, Payload: []byte("v1")}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := rawDial(t, srv)
-
-	req := &Message{Type: Confirmable, Code: CodePOST, MessageID: 99, Token: []byte{5}}
-	data, _ := req.Marshal()
-	ack1 := rawExchange(t, conn, data)
-	entries := srv.ExportDedup()
-	if len(entries) != 1 {
-		t.Fatalf("exported %d entries, want 1", len(entries))
-	}
-	srv.Close()
-
-	// A "restarted" server on the same port, with a handler that would
-	// betray a re-ingest by answering differently.
-	lc, err := net.ListenUDP("udp", srv.Addr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := Serve(lc, func(req *Message) *Message {
-		atomic.AddInt64(&calls, 1)
-		return &Message{Code: CodeChanged, Payload: []byte("v2")}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	srv2.RestoreDedup(entries)
-
-	ack2 := rawExchange(t, conn, data)
-	if !bytes.Equal(ack1, ack2) {
-		t.Error("restored server did not replay the pre-restart ACK")
-	}
-	if got := atomic.LoadInt64(&calls); got != 1 {
-		t.Errorf("handler ran %d times across the restart, want once", got)
-	}
-
-	// Exchanges from IPv6, zoned IPv6 and IPv4 peers round-trip too. The
-	// peer text survives unchanged, an IPv4-mapped source hits the entry of
-	// its plain IPv4 form, and peers that differ only by zone keep separate
-	// entries.
-	t.Run("address forms", func(t *testing.T) {
-		srv, err := ListenAndServe("127.0.0.1:0", func(req *Message) *Message { return &Message{Code: CodeChanged} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		ack := &Message{Type: Acknowledgement, Code: CodeChanged, MessageID: 42, Token: []byte{7, 7}}
-		resp, err := ack.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers := []string{"[::1]:5683", "[fe80::1%eth0]:5683", "[fe80::1%eth1]:5683", "192.0.2.7:5683"}
-		var in []DedupEntry
-		for _, p := range peers {
-			in = append(in, DedupEntry{Peer: p, MessageID: 42, Response: resp, AgeMS: 10})
-		}
-		srv.RestoreDedup(in)
-		out := srv.ExportDedup()
-		if len(out) != len(peers) {
-			t.Fatalf("exported %d entries, want %d (zones must not share an entry)", len(out), len(peers))
-		}
-		for i, en := range out {
-			if en.Peer != peers[i] || en.MessageID != 42 || !bytes.Equal(en.Response, resp) {
-				t.Errorf("entry %d = %+v, want peer %s", i, en, peers[i])
-			}
-		}
-
-		mapped := &net.UDPAddr{IP: net.ParseIP("::ffff:192.0.2.7"), Port: 5683}
-		ap, ok := peerAddrPort(mapped)
+// TestDedupKeyAddressForms pins the peer half of the dedup key: an IPv4
+// peer and its IPv4-mapped IPv6 form share a key, while peers that differ
+// only by IPv6 zone, or by port, do not.
+func TestDedupKeyAddressForms(t *testing.T) {
+	s := &Server{}
+	tok := []byte{7, 7}
+	key := func(peer *net.UDPAddr) dedupKey {
+		t.Helper()
+		ap, ok := peerAddrPort(peer)
 		if !ok {
-			t.Fatal("IPv4-mapped peer did not parse")
+			t.Fatalf("peer %v did not parse", peer)
 		}
-		srv.mu.Lock()
-		_, hit := srv.dedup[srv.keyLocked(ap, 42, ack.Token)]
-		srv.mu.Unlock()
-		if !hit {
-			t.Error("IPv4-mapped peer missed the entry restored for its IPv4 form")
-		}
-	})
+		return s.keyLocked(ap, 42, tok)
+	}
+	v4 := key(&net.UDPAddr{IP: net.IPv4(192, 0, 2, 7).To4(), Port: 5683})
+	if mapped := key(&net.UDPAddr{IP: net.ParseIP("::ffff:192.0.2.7"), Port: 5683}); mapped != v4 {
+		t.Error("IPv4-mapped peer keys apart from its IPv4 form")
+	}
+	if other := key(&net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5684}); other == v4 {
+		t.Error("peers on different ports share a key")
+	}
+	eth0 := key(&net.UDPAddr{IP: net.ParseIP("fe80::1"), Port: 5683, Zone: "eth0"})
+	eth1 := key(&net.UDPAddr{IP: net.ParseIP("fe80::1"), Port: 5683, Zone: "eth1"})
+	bare := key(&net.UDPAddr{IP: net.ParseIP("fe80::1"), Port: 5683})
+	if eth0 == eth1 || eth0 == bare || eth1 == bare {
+		t.Error("peers that differ only by zone share a key")
+	}
+	if again := key(&net.UDPAddr{IP: net.ParseIP("fe80::1"), Port: 5683, Zone: "eth0"}); again != eth0 {
+		t.Error("the same zoned peer keys differently on its second exchange")
+	}
 }
 
 // TestDedupKeyAllocFree pins the dedup key: built from a *net.UDPAddr it

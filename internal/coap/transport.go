@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -32,7 +33,10 @@ type ServerConfig struct {
 	QueueDepth int
 	// ExchangeLifetime is how long a (peer, MessageID) exchange stays in
 	// the deduplication cache (RFC 7252 §4.8.2 EXCHANGE_LIFETIME,
-	// default 247s).
+	// default 247s). Exchanges expire a time bucket at a time, each kept
+	// at least the lifetime and at most a third longer (329s by default);
+	// one with an 8-byte ACK holds 72-109 bytes of heap, by map growth
+	// phase (BenchmarkServerExchangeCache).
 	ExchangeLifetime time.Duration
 }
 
@@ -119,19 +123,12 @@ type dedupKey struct {
 	tok  [8]byte
 }
 
-// exchange is one dedup-cache entry. resp stays nil while the handler is
-// still running; a retransmission arriving in that window is silently
-// absorbed (the sender's next retransmission finds the cached response).
-type exchange struct {
-	resp []byte
-	born time.Duration // since Server.epoch
-}
-
 type job struct {
-	req  *Message
-	peer net.Addr
-	key  dedupKey
-	con  bool
+	req    *Message
+	peer   net.Addr
+	key    dedupKey
+	bucket int64 // exchangeCache bucket the exchange was admitted to
+	con    bool
 }
 
 // Server is a minimal CoAP-over-UDP server: it answers confirmable and
@@ -144,13 +141,12 @@ type Server struct {
 	cfg     ServerConfig
 	queue   chan job
 
-	epoch time.Time // monotonic origin of exchange.born
+	epoch time.Time // monotonic origin of the cache's clock
 
-	mu     sync.Mutex // guards closed, dedup, order, zones
+	mu     sync.Mutex // guards closed, cache, zones
 	closed bool
-	dedup  map[dedupKey]exchange
-	order  []dedupKey // insertion order, for expiry
-	zones  []string   // IPv6 zones seen, interned for dedupKey.zone
+	cache  exchangeCache
+	zones  []string // IPv6 zones seen, interned for dedupKey.zone
 
 	met srvMetrics
 
@@ -219,7 +215,7 @@ func Serve(conn net.PacketConn, handler Handler, opts ...ServerOption) (*Server,
 		cfg:     cfg,
 		queue:   make(chan job, cfg.QueueDepth),
 		epoch:   time.Now(),
-		dedup:   make(map[dedupKey]exchange),
+		cache:   newExchangeCache(cfg.ExchangeLifetime),
 		met:     newSrvMetrics(o.tel),
 	}
 	s.workerWG.Add(cfg.Workers)
@@ -266,6 +262,7 @@ func (s *Server) Close() error {
 func (s *Server) serve() {
 	defer s.serveWG.Done()
 	buf := make([]byte, maxDatagram)
+	var replay []byte // a cached ACK, copied out of the cache to resend
 	for {
 		n, peer, err := s.conn.ReadFrom(buf)
 		if err != nil {
@@ -288,57 +285,35 @@ func (s *Server) serve() {
 		s.met.received.Inc()
 		now := time.Since(s.epoch)
 		s.mu.Lock()
-		s.purgeLocked(now)
 		key := s.keyLocked(ap, req.MessageID, req.Token)
-		if e, ok := s.dedup[key]; ok {
+		bucket, ack, dup := s.cache.admit(key, now)
+		if dup {
 			// RFC 7252 §4.5: a retransmitted exchange must not reach the
 			// handler again. Replay the cached piggybacked ACK for a
 			// Confirmable retransmission; while the original is still in
-			// flight (resp == nil), or for a NON duplicate, stay silent.
-			s.met.deduped.Inc()
-			resp := e.resp
+			// flight (no ACK cached yet), or for a NON duplicate, stay silent.
+			replay = append(replay[:0], ack...)
 			s.mu.Unlock()
-			if resp != nil && req.Type == Confirmable {
-				s.conn.WriteTo(resp, peer) //nolint:errcheck // peer retransmits on loss
+			s.met.deduped.Inc()
+			if len(replay) > 0 && req.Type == Confirmable {
+				s.conn.WriteTo(replay, peer) //nolint:errcheck // peer retransmits on loss
 			}
 			continue
 		}
-		s.dedup[key] = exchange{born: now}
-		s.order = append(s.order, key)
 		s.mu.Unlock()
 
 		select {
-		case s.queue <- job{req: req, peer: peer, key: key, con: req.Type == Confirmable}:
+		case s.queue <- job{req: req, peer: peer, key: key, bucket: bucket, con: req.Type == Confirmable}:
 			s.met.queueDepth.Add(1)
 		default:
 			// Queue full: shed the request. Forget the exchange so the
 			// sender's retransmission gets a fresh chance at a worker.
 			s.mu.Lock()
-			delete(s.dedup, key)
+			s.cache.forget(bucket, key)
 			s.mu.Unlock()
 			s.met.dropped.Inc()
 		}
 	}
-}
-
-// purgeLocked expires exchanges older than ExchangeLifetime. Entries are
-// appended to order at birth, so the prefix is oldest-first; a key whose
-// map entry is missing was shed by the queue-full path. Dropping the prefix
-// reslices instead of copying: append reclaims the dead head the next time
-// order outgrows its array.
-func (s *Server) purgeLocked(now time.Duration) {
-	cut := 0
-	for _, key := range s.order {
-		e, ok := s.dedup[key]
-		if ok && now-e.born < s.cfg.ExchangeLifetime {
-			break
-		}
-		if ok {
-			delete(s.dedup, key)
-		}
-		cut++
-	}
-	s.order = s.order[cut:]
 }
 
 // peerAddrPort reads a request's source endpoint. A *net.UDPAddr, what
@@ -370,18 +345,9 @@ func (s *Server) keyLocked(ap netip.AddrPort, mid uint16, token []byte) dedupKey
 	return k
 }
 
-// peerLocked renders a key's endpoint as *net.UDPAddr.String does, the
-// textual form DedupEntry.Peer has always carried.
-func (s *Server) peerLocked(k dedupKey) string {
-	a := netip.AddrFrom16(k.addr).Unmap()
-	if k.zone > 0 {
-		a = a.WithZone(s.zones[k.zone-1])
-	}
-	return netip.AddrPortFrom(a, k.port).String()
-}
-
 func (s *Server) worker() {
 	defer s.workerWG.Done()
+	var buf []byte // the encoded response, reused across jobs
 	for jb := range s.queue {
 		s.met.queueDepth.Add(-1)
 		resp := s.handler(jb.req)
@@ -396,85 +362,110 @@ func (s *Server) worker() {
 		}
 		resp.MessageID = jb.req.MessageID
 		resp.Token = jb.req.Token
-		data, err := resp.Marshal()
+		var err error
+		buf, err = resp.AppendTo(buf[:0])
 
 		s.met.handled.Inc()
-		s.mu.Lock()
-		if err == nil {
-			if e, ok := s.dedup[jb.key]; ok {
-				e.resp = data
-				s.dedup[jb.key] = e
-			}
-		}
-		s.mu.Unlock()
 		if err != nil {
 			continue
 		}
-		s.conn.WriteTo(data, jb.peer) //nolint:errcheck // peer retransmits on loss
+		s.mu.Lock()
+		s.cache.complete(jb.bucket, jb.key, buf)
+		s.mu.Unlock()
+		s.conn.WriteTo(buf, jb.peer) //nolint:errcheck // peer retransmits on loss
 	}
 }
 
-// DedupEntry is the persisted form of one completed exchange, exported for
-// gateway checkpoints so a restarted gateway keeps absorbing retransmissions
-// of pre-crash requests instead of double-ingesting them.
-type DedupEntry struct {
-	Peer      string `json:"peer"`
-	MessageID uint16 `json:"mid"`
-	Response  []byte `json:"resp"`
-	AgeMS     int64  `json:"age_ms"`
+// dedupBuckets is the number of time buckets the exchange cache keeps.
+// Each spans ExchangeLifetime/(dedupBuckets-1), so the oldest bucket is
+// dropped once its youngest exchange has lived a full lifetime: an
+// exchange is kept at least the lifetime and at most one span longer.
+const dedupBuckets = 4
+
+// exchangeCache is the server's RFC 7252 §4.5 exchange memory. Every
+// exchange is one fixed-size, pointer-free map entry, so the garbage
+// collector never scans the cache; its ACK lives in its bucket's
+// append-only arena. Expiry drops whole buckets instead of walking
+// exchanges one by one. Callers hold Server.mu.
+type exchangeCache struct {
+	span    time.Duration
+	newest  int64 // number of the bucket that admits new exchanges
+	buckets [dedupBuckets]exchangeBucket
 }
 
-// ExportDedup snapshots the completed exchanges in the dedup cache,
-// oldest first. In-flight exchanges (handler still running) are skipped —
-// their effects are not yet in any checkpointed state, so replaying them
-// after a restart is exactly once, not twice.
-func (s *Server) ExportDedup() []DedupEntry {
-	now := time.Since(s.epoch)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []DedupEntry
-	for _, key := range s.order {
-		e, ok := s.dedup[key]
-		if !ok || e.resp == nil {
-			continue
+// exchangeBucket holds the exchanges admitted during one span: bucket
+// number n covers [n·span, (n+1)·span) on the server's clock and lives in
+// slot n%dedupBuckets.
+type exchangeBucket struct {
+	n     int64
+	acks  map[dedupKey]ackRef
+	arena []byte // the cached ACKs, back to back
+}
+
+// ackRef locates an exchange's cached ACK in its bucket's arena. A zero
+// size means the handler has not answered yet.
+type ackRef struct{ off, size uint32 }
+
+func newExchangeCache(lifetime time.Duration) exchangeCache {
+	return exchangeCache{span: max(lifetime/(dedupBuckets-1), 1)}
+}
+
+// admit looks key up in every live bucket at time now (since the server's
+// epoch). A known exchange returns dup and its cached ACK, which is empty
+// while the exchange is in flight and aliases the arena (copy it before
+// unlocking). A new one is entered into the newest bucket, whose number is
+// returned for complete and forget.
+//
+// Reaching bucket n first empties the slots it and the buckets before it
+// reuse. Whatever those slots held was admitted at least dedupBuckets-1
+// spans, one lifetime, before bucket n began.
+func (c *exchangeCache) admit(key dedupKey, now time.Duration) (bucket int64, ack []byte, dup bool) {
+	if n := int64(now / c.span); n > c.newest {
+		for j := max(c.newest+1, n-dedupBuckets+1); j <= n; j++ {
+			c.buckets[j%dedupBuckets] = exchangeBucket{n: j}
 		}
-		out = append(out, DedupEntry{
-			Peer:      s.peerLocked(key),
-			MessageID: key.mid,
-			Response:  e.resp,
-			AgeMS:     (now - e.born).Milliseconds(),
-		})
+		c.newest = n
 	}
-	return out
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		if r, ok := b.acks[key]; ok {
+			return b.n, b.arena[r.off : r.off+r.size], true
+		}
+	}
+	b := &c.buckets[c.newest%dedupBuckets]
+	if b.acks == nil {
+		b.acks = make(map[dedupKey]ackRef)
+	}
+	b.acks[key] = ackRef{}
+	return b.n, nil, false
 }
 
-// RestoreDedup seeds the dedup cache from a checkpoint. Entries whose
-// remaining lifetime has already elapsed are skipped, as are entries whose
-// peer does not parse or whose response is too short to carry the token
-// the key needs (a response echoes its request's token).
-func (s *Server) RestoreDedup(entries []DedupEntry) {
-	now := time.Since(s.epoch)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, en := range entries {
-		age := time.Duration(en.AgeMS) * time.Millisecond
-		if age >= s.cfg.ExchangeLifetime {
-			continue
-		}
-		ap, err := netip.ParseAddrPort(en.Peer)
-		if err != nil || len(en.Response) < 4 {
-			continue
-		}
-		tkl := int(en.Response[0] & 0x0f)
-		if tkl > 8 || len(en.Response) < 4+tkl {
-			continue
-		}
-		key := s.keyLocked(ap, en.MessageID, en.Response[4:4+tkl])
-		if _, ok := s.dedup[key]; ok {
-			continue
-		}
-		s.dedup[key] = exchange{resp: en.Response, born: now - age}
-		s.order = append(s.order, key)
+// lookup returns bucket n and whether it is still live and holds key.
+func (c *exchangeCache) lookup(n int64, key dedupKey) (*exchangeBucket, bool) {
+	b := &c.buckets[n%dedupBuckets]
+	if b.n != n {
+		return nil, false // the bucket expired while the handler ran
+	}
+	_, ok := b.acks[key]
+	return b, ok
+}
+
+// complete caches an exchange's encoded ACK in the bucket it was admitted
+// to. If that bucket has expired, or the ACK would overflow the arena's
+// 32-bit offsets, the exchange is left uncached or in flight.
+func (c *exchangeCache) complete(n int64, key dedupKey, ack []byte) {
+	b, ok := c.lookup(n, key)
+	if !ok || uint64(len(b.arena))+uint64(len(ack)) > math.MaxUint32 {
+		return
+	}
+	b.acks[key] = ackRef{off: uint32(len(b.arena)), size: uint32(len(ack))}
+	b.arena = append(b.arena, ack...)
+}
+
+// forget removes an exchange that was shed before any handler saw it.
+func (c *exchangeCache) forget(n int64, key dedupKey) {
+	if b, ok := c.lookup(n, key); ok {
+		delete(b.acks, key)
 	}
 }
 
